@@ -17,7 +17,8 @@ import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
-WORKLOADS = ["orders", "tree", "descent", "cli"]
+WORKLOADS = [w["name"] for w in json.loads(
+    (HERE.parent / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]]
 
 
 def run_one(workload, seed, seconds, trace):
