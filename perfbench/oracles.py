@@ -247,13 +247,30 @@ def check_center(ell, S, kind, center):
 
 
 def check_subtree(ell, S, nodes, edges):
+    """The smallest subtree holding S: a tree (distinct tree edges, |E| =
+    |V| - 1, connected) that contains S and whose leaves all lie in S."""
     require(len(set(nodes)) == len(nodes), "subtree repeats a vertex")
     require(set(S) <= set(nodes), "subtree misses a set vertex")
     require(len(edges) == len(nodes) - 1, "subtree has |E| != |V| - 1")
-    node_set = set(nodes)
+    require(len({frozenset(e) for e in edges}) == len(edges),
+            "subtree repeats an edge")
+    root = {v: v for v in nodes}
+
+    def find(v):
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+    degree = dict.fromkeys(nodes, 0)
     for u, w in edges:
-        require(u in node_set and w in node_set, "edge leaves the subtree")
+        require(u in root and w in root, "edge leaves the subtree")
         require(distance(ell, u, w) == 1, "subtree edge is not an edge")
+        root[find(u)] = find(w)
+        degree[u] += 1
+        degree[w] += 1
+    require(len({find(v) for v in nodes}) == 1, "subtree is not connected")
+    require(all(v in S for v, deg in degree.items() if deg <= 1),
+            "subtree has a leaf outside the set")
 
 
 # ---------------------------------------------------------------- transport

@@ -1,8 +1,9 @@
 """Run every workload untraced and then traced, and print all the metrics.
 
-    python3 perfbench/report.py --seed 1 --seconds 20
+    python3 perfbench/report.py --seed 1
 
-Each run is a fresh ``run.py`` process.  The end-to-end metrics come from
+Each run is a fresh ``run.py`` process, as long as ``BENCHMARK.json``'s
+``run_seconds``.  The end-to-end metrics come from
 the untraced runs, one block per workload; the per-layer metrics come from
 the traced runs, one column per workload, followed by the tracing overhead
 and the guard probes.
@@ -17,13 +18,13 @@ import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
-WORKLOADS = [w["name"] for w in json.loads(
-    (HERE.parent / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]]
+SPEC = json.loads((HERE.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+WORKLOADS = [w["name"] for w in SPEC["workloads"]]
 
 
-def run_one(workload, seed, seconds, trace):
+def run_one(workload, seed, trace):
     cmd = [sys.executable, str(HERE / "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds),
+           "--seed", str(seed), "--seconds", str(SPEC["run_seconds"]),
            "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=HERE.parent, capture_output=True, text=True,
                          check=True)
@@ -34,11 +35,10 @@ def run_one(workload, seed, seconds, trace):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=int, default=20)
     args = ap.parse_args(argv)
 
     for w in WORKLOADS:
-        meta, res = run_one(w, args.seed, args.seconds, 0)
+        meta, res = run_one(w, args.seed, 0)
         print(f"== {w}: {res['attempted']} ops attempted, {res['failed']} "
               f"failed, correct={res['correct']}, "
               f"{meta['distinct_inputs']} distinct inputs, mix {meta['op_mix']}")
@@ -49,7 +49,7 @@ def main(argv=None):
               f"samples beyond; peak_rss_mb after {meta['peak_rss_after_decks']}"
               f" decks; setup_s is the median of {meta['setup_samples']})")
 
-    traced = {w: run_one(w, args.seed, args.seconds, 1) for w in WORKLOADS}
+    traced = {w: run_one(w, args.seed, 1) for w in WORKLOADS}
     print("\n== per layer (traced runs; per traced op unless the unit says)")
     print(f"  {'metric':<46}{'unit':<11}" + "".join(f"{w:>14}" for w in WORKLOADS))
     first = traced[WORKLOADS[0]][1]["metrics"]

@@ -11,7 +11,8 @@ With ``--trace 0`` the last line of stdout is a JSON object with the
 end-to-end metrics named in ``BENCHMARK.json``:
 
 - ``setup_s``: fresh interpreter start to ``import qmtree`` done, median of
-  ``SETUP_SAMPLES`` starts;
+  ``SETUP_SAMPLES`` starts spread evenly over the run (between decks, and
+  not counted in its seconds), so that they see the same host as the ops;
 - ``ops_per_s``: correct ops per second of op time, one op in flight;
 - ``op_p50_ms``, ``op_tail_ms``: the median op, and the highest op with at
   least ten ops beyond it (its percentile is in the metadata);
@@ -22,7 +23,9 @@ end-to-end metrics named in ``BENCHMARK.json``:
 
 With ``--trace 1`` the line holds the per-layer metrics instead, from a
 run in which every other full mix of decks runs with timing spans around
-qmtree's layer functions (``spans.py``), and the guard probes run.  The
+qmtree's layer functions (``spans.py``), and the guard probes run.
+Cache sizes are read once the workload's ``mem_decks`` decks are done, like
+``peak_rss_mb``.  The
 line before the last is the run's metadata.  Timings stay integer
 nanoseconds until they are printed.
 """
@@ -54,7 +57,7 @@ import spans as tr  # noqa: E402
 import workloads as wl  # noqa: E402
 
 LAYERS = list(tr.LAYERS)
-SETUP_SAMPLES = 9
+SETUP_SAMPLES = 31
 # decks stop being traced once this many spans are held (40 bytes each)
 SPAN_CAP = 1_000_000
 IMPORT_PROBE = ("import time; t = time.perf_counter_ns(); import qmtree; "
@@ -80,23 +83,20 @@ def load_qmtree():
         layer: importlib.import_module(f"qmtree.{layer}") for layer in LAYERS})
 
 
-def measure_setup(env):
-    """Fresh-interpreter start to ``import qmtree`` done, as seen by the
+def measure_setup(env, st):
+    """One fresh-interpreter start to ``import qmtree`` done, as seen by the
     parent (ns), and the import alone as timed inside the child (ns)."""
-    wall, inner = [], []
-    for _ in range(SETUP_SAMPLES):
-        t0 = time.perf_counter_ns()
-        with subprocess.Popen([sys.executable, "-c", IMPORT_PROBE], cwd=ROOT,
-                              env=env, stdout=subprocess.PIPE,
-                              text=True) as p:
-            line = p.stdout.readline()
-            t1 = time.perf_counter_ns()
-            p.stdout.read()
-        if p.returncode != 0 or not line.strip().isdigit():
-            raise SystemExit("error: `import qmtree` failed in a fresh interpreter")
-        wall.append(t1 - t0)
-        inner.append(int(line))
-    return wall, inner
+    t0 = time.perf_counter_ns()
+    with subprocess.Popen([sys.executable, "-c", IMPORT_PROBE], cwd=ROOT,
+                          env=env, stdout=subprocess.PIPE, text=True) as p:
+        line = p.stdout.readline()
+        t1 = time.perf_counter_ns()
+        p.stdout.read()
+    if p.returncode != 0 or not line.strip().isdigit():
+        raise SystemExit("error: `import qmtree` failed in a fresh interpreter")
+    st.setup_wall.append(t1 - t0)
+    st.setup_inner.append(int(line))
+    st.paused += time.perf_counter_ns() - t0
 
 
 def median(xs):
@@ -146,18 +146,27 @@ def run_guard(argv, env):
     return outcome, time.perf_counter_ns() - t0
 
 
-def run_loop(work, seconds, tracer):
+def run_loop(work, seconds, tracer, env):
     """Whole decks until ``seconds`` have passed and at least
-    ``work.mem_decks`` decks are done.  With a tracer, every other full mix
-    of ``work.mix_decks`` decks runs traced until ``SPAN_CAP`` spans are
-    held, so traced and untraced ops have the same mix."""
+    ``work.mem_decks`` decks are done, with the set-up probes due by then
+    taken between decks.  With a tracer, every other full mix of
+    ``work.mix_decks`` decks runs traced until ``SPAN_CAP`` spans are held,
+    so traced and untraced ops have the same mix."""
     st = types.SimpleNamespace(
-        lat=[], attempted=0, failed=0, errors=[], kinds={}, keys=set(),
-        busy={True: 0, False: 0}, ops={True: 0, False: 0},
-        ref_ns=[], spawn_ns=[], peak_rss_kb=None, decks=0)
+        lat=[], attempted=0, failed=0, errors=[], kinds={}, seen={},
+        repeats={}, busy={True: 0, False: 0}, ops={True: 0, False: 0},
+        ref_ns=[], spawn_ns=[], peak_rss_kb=None, cache_info=None, decks=0,
+        setup_wall=[], setup_inner=[], paused=0)
     clock = time.perf_counter_ns
+    budget = seconds * 10 ** 9
     t_start = clock()
-    while st.decks < work.mem_decks or clock() - t_start < seconds * 10 ** 9:
+
+    def elapsed():
+        return clock() - t_start - st.paused
+    while st.decks < work.mem_decks or elapsed() < budget:
+        while (len(st.setup_wall) < SETUP_SAMPLES
+               and elapsed() * SETUP_SAMPLES >= len(st.setup_wall) * budget):
+            measure_setup(env, st)
         traced = (tracer is not None and st.decks // work.mix_decks % 2 == 1
                   and len(tracer.start) < SPAN_CAP)
         ops = work.deck()
@@ -172,6 +181,9 @@ def run_loop(work, seconds, tracer):
         st.decks += 1
         if st.decks == work.mem_decks:
             st.peak_rss_kb = peak_rss_kb(isinstance(work, wl.Cli))
+            st.cache_info = work.qm.orders.reduced_discriminant.cache_info()
+    while len(st.setup_wall) < SETUP_SAMPLES:
+        measure_setup(env, st)
     st.wall_ns = clock() - t_start
     return st
 
@@ -180,7 +192,9 @@ def run_op(op, st, traced, tracer):
     """Time one op; then, untimed, its reference and its oracle."""
     clock = time.perf_counter_ns
     st.kinds[op.kind] = st.kinds.get(op.kind, 0) + 1
-    st.keys.add(op.key)
+    seen = st.seen.setdefault(op.kind, set())
+    st.repeats[op.kind] = st.repeats.get(op.kind, 0) + (op.key in seen)
+    seen.add(op.key)
     if traced:
         tracer.op_id = st.attempted
     st.attempted += 1
@@ -210,10 +224,10 @@ def run_op(op, st, traced, tracer):
     st.ops[traced] += 1
 
 
-def end_to_end(st, setup_wall, mem_decks):
+def end_to_end(st, mem_decks):
     tail_ns, tail_pct, beyond = tail(st.lat)
     metrics = {
-        "setup_s": median(setup_wall) / 10 ** 9,
+        "setup_s": median(st.setup_wall) / 10 ** 9,
         "ops_per_s": (st.attempted - st.failed) * 10 ** 9 / sum(st.lat),
         "op_p50_ms": median(st.lat) / NS_PER_MS,
         "op_tail_ms": tail_ns / NS_PER_MS,
@@ -221,12 +235,12 @@ def end_to_end(st, setup_wall, mem_decks):
     }
     notes = {"op_tail_percentile": round(tail_pct, 2),
              "op_tail_samples_beyond": beyond, "op_samples": len(st.lat),
-             "setup_samples": len(setup_wall),
+             "setup_samples": len(st.setup_wall),
              "peak_rss_after_decks": mem_decks}
     return metrics, notes
 
 
-def per_layer(st, tracer, qm, setup_inner, guards):
+def per_layer(st, tracer, guards):
     """Metrics from the traced decks; counts and self times are per traced op."""
     spans_named = {}
     dur, own = tracer.self_times()
@@ -249,7 +263,7 @@ def per_layer(st, tracer, qm, setup_inner, guards):
     keys = {tracer.notes[i] for i in spans_named.get("orders.splitting_data", ())}
     m["orders.splitting_data.rebuild_ratio"] = (
         calls("orders.splitting_data") / len(keys) if keys else 0)
-    info = qm.orders.reduced_discriminant.cache_info()
+    info = st.cache_info
     looked = info.hits + info.misses
     m["orders.reduced_discriminant.hit_ratio"] = info.hits / looked if looked else 0
     m["orders.reduced_discriminant.cache_size"] = info.currsize
@@ -279,7 +293,7 @@ def per_layer(st, tracer, qm, setup_inner, guards):
     m["center.tree_center.distance_calls_per_call"] = (
         dist_in_center / centers if centers else 0)
 
-    m["cli.import_ms"] = median(setup_inner) / NS_PER_MS
+    m["cli.import_ms"] = median(st.setup_inner) / NS_PER_MS
     mains = calls("cli.main")
     m["cli.main.self_ms"] = (self_ms("cli.main") * ops / mains) if mains else 0
     m["cli.spawn_overhead_ms"] = (median(st.spawn_ns) / NS_PER_MS
@@ -317,7 +331,6 @@ def main(argv=None):
     declared = declared_metrics(args.trace)
     load_start = os.getloadavg()
     env = child_env()
-    setup_wall, setup_inner = measure_setup(env)
 
     workdir = OUT / f"work-{os.getpid()}"
     workdir.mkdir(parents=True, exist_ok=True)
@@ -327,7 +340,7 @@ def main(argv=None):
         rng = random.Random(f"{args.workload}:{args.seed}")
         work = wl.WORKLOADS[args.workload](rng, ctx)
         tracer = tr.Tracer(vars(qm)) if args.trace else None
-        st = run_loop(work, args.seconds, tracer)
+        st = run_loop(work, args.seconds, tracer, env)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
@@ -338,7 +351,11 @@ def main(argv=None):
             "decks": st.decks, "wall_s": st.wall_ns / 10 ** 9,
             "attempted": st.attempted, "failed": st.failed,
             "fail_frac": st.failed / st.attempted, "errors": st.errors,
-            "op_mix": st.kinds, "distinct_inputs": len(st.keys)}
+            "op_mix": st.kinds,
+            "distinct_inputs": sum(len(keys) for keys in st.seen.values()),
+            "repeat_frac": {kind: st.repeats[kind] / n
+                            for kind, n in st.kinds.items()},
+            "reduced_discriminant_cache_after_decks": work.mem_decks}
     meta["git_sha"], meta["src_digest"] = source_id()
     if args.trace:
         guards = []
@@ -347,7 +364,7 @@ def main(argv=None):
             outcome, ns = run_guard(gargv, env)
             guards.append({"probe": label, "outcome": outcome,
                            "limit_s": wl.GUARD_LIMIT_S, "wall_s": ns / 10 ** 9})
-        metrics, extra = per_layer(st, tracer, qm, setup_inner, guards)
+        metrics, extra = per_layer(st, tracer, guards)
         OUT.mkdir(exist_ok=True)
         stem = OUT / f"trace-{args.workload}"
         tracer.write(stem)
@@ -355,7 +372,7 @@ def main(argv=None):
                     guard_fail_frac=(st.failed + metrics["guard.timeouts"])
                     / (st.attempted + len(guards)))
     else:
-        metrics, notes = end_to_end(st, setup_wall, work.mem_decks)
+        metrics, notes = end_to_end(st, work.mem_decks)
         meta.update(notes)
     meta["loadavg_end"] = os.getloadavg()
     missing = [m["name"] for m in declared if m["name"] not in metrics]

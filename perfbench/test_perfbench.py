@@ -126,6 +126,15 @@ def test_center_and_subtree_oracles_reject_planted_errors():
         orc.check_subtree(ell, S, nodes, edges[1:])
     with pytest.raises(orc.WrongAnswer):
         orc.check_subtree(ell, S, [n for n in nodes if n != S[0]], edges[1:])
+    # one extra edge hanging off S: still a tree, but no longer the smallest
+    extra = next(w for w in (orc.step(ell, S[0], t) for t in range(ell + 1))
+                 if w not in nodes)
+    with pytest.raises(orc.WrongAnswer):
+        orc.check_subtree(ell, S, nodes + [extra], edges + [(S[0], extra)])
+    # a far vertex with a repeated edge in place of its own: |E| = |V| - 1
+    far = orc.step(ell, extra, 0 if orc.step(ell, extra, 0) != S[0] else 1)
+    with pytest.raises(orc.WrongAnswer):
+        orc.check_subtree(ell, S, nodes + [far], edges + edges[:1])
 
 
 def test_order_oracles_reject_planted_errors():

@@ -27,16 +27,16 @@ from typing import Callable, Optional
 import oracles as orc
 from oracles import require
 
-# (a, b) pools for maximal_order in cost order, by tier on the reference
-# machine: ramified ~50-70 ms, small split ~70-200 ms, large split ~1.3-1.8 s
-# (the _hereditary_split search at p = 1 mod 4).  The ramified tier is the
-# largest and the tightest, and sits in the middle of the mix, so that the
-# median op falls inside it.
-RAMIFIED = [(2, 3), (3, 5), (-2, 5), (-3, 5), (-1, 6), (5, 7), (-2, -3),
-            (6, 7), (-2, 15)]
-SMALL_SPLIT = [(-1, 5), (-1, 13), (-3, 7), (-7, 11), (-1, 17), (-5, 14),
-               (-1, 29)]
-LARGE_SPLIT = [(-1, 89), (-1, 97), (-1, 101)]
+HERE = Path(__file__).resolve().parent
+# (a, b) inputs of maximal_order by cost tier, each in cost order on the
+# reference machine (make_pools.py): no split prime, one split prime below
+# 30, one split prime in 80..101 with a full _hereditary_split scan.  The
+# tiers hold hundreds of algebras, so a run's draws rarely repeat one.
+POOLS = {tier: [(a, b) for a, b, _ in rows] for tier, rows in json.loads(
+    (HERE / "pools.json").read_text(encoding="utf-8")).items()}
+RAMIFIED = POOLS["ramified"]
+SMALL_SPLIT = POOLS["small_split"]
+LARGE_SPLIT = POOLS["large_split"]
 # maximal orders that Eichler orders, ideals and ideal trees are built on
 BASES = [(-1, -1), (-1, 3), (-2, 5), (-1, 7)]
 # left_ideals_of_norm costs O(ell): one ell per tier per full mix; the top
@@ -52,7 +52,7 @@ BIG_PRIME = 10 ** 42 + 63
 GUARD_LIMIT_S = 15
 OP_LIMIT_S = 120
 
-FIXTURES = Path(__file__).resolve().parent / "fixtures"
+FIXTURES = HERE / "fixtures"
 
 
 @dataclass
