@@ -42,8 +42,15 @@ def main(argv=None):
         print(f"== {w}: {res['attempted']} ops attempted, {res['failed']} "
               f"failed, correct={res['correct']}, "
               f"{meta['distinct_inputs']} distinct inputs, mix {meta['op_mix']}")
+        raw = meta["as_measured"]
         for name, m in res["metrics"].items():
-            print(f"  {name:<14} {m['value']:>14.4f} {m['unit']}")
+            line = f"  {name:<14} {m['value']:>14.4f} {m['unit']}"
+            if name in raw:
+                line += f"  ({raw[name]:.4f} as measured)"
+            print(line)
+        print(f"  (times are scaled to a host that runs the reference unit in "
+              f"{meta['host_unit_ref_ms']} ms; this one took "
+              f"{meta['host_unit_ms']:.3f} ms)")
         print(f"  (op_tail_ms is p{meta['op_tail_percentile']} with "
               f"{meta['op_tail_samples_beyond']} of {meta['op_samples']} "
               f"samples beyond; peak_rss_mb after {meta['peak_rss_after_decks']}"

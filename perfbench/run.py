@@ -16,6 +16,8 @@ end-to-end metrics named in ``BENCHMARK.json``:
 - ``ops_per_s``: correct ops per second of op time, one op in flight;
 - ``op_p50_ms``, ``op_tail_ms``: the median op, and the highest op with at
   least ten ops beyond it (its percentile is in the metadata);
+- these four times are scaled to a reference host speed (``host_unit``
+  below); the metadata holds them as measured (``as_measured``);
 - ``peak_rss_mb``: peak RSS of the process doing the work (the qmtree
   children for ``cli``) once the workload's ``mem_decks`` decks are done,
   a fixed amount of work, so that a faster program is not charged for
@@ -45,6 +47,7 @@ import subprocess
 import sys
 import time
 import types
+from bisect import bisect_left, bisect_right
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -53,6 +56,7 @@ SRC = ROOT / "src"
 OUT = ROOT / ".perfbench_out"
 sys.path.insert(0, str(HERE))
 
+import oracles as orc  # noqa: E402
 import spans as tr  # noqa: E402
 import workloads as wl  # noqa: E402
 
@@ -63,6 +67,64 @@ SPAN_CAP = 1_000_000
 IMPORT_PROBE = ("import time; t = time.perf_counter_ns(); import qmtree; "
                 "print(time.perf_counter_ns() - t, flush=True)")
 NS_PER_MS = 10 ** 6
+
+# The shared host's speed for pure Python drifts by up to 1.8x within
+# seconds, as other guests load its cores, and that drift is most of the
+# run-to-run spread of raw op times.  So a fixed piece of qmtree-free work,
+# ``host_unit``, is timed right after every op and around every set-up
+# probe, and each time is scaled by UNIT_NS over the unit's time just before
+# and just after it: what it would have been on a host that runs the unit
+# in UNIT_NS (its unloaded median on the 2-vCPU reference guest).  No change
+# to qmtree can move the unit, so a faster qmtree still reads faster.
+UNIT_NS = 270_000
+UNIT_BASIS = ((37, -12, 5, 91), (4, 77, -31, 8), (19, 3, 62, -45),
+              (-7, 28, 11, 53))
+# after an op: one unit, and one more per UNIT_EVERY units' worth of op
+# time, up to UNITS_MAX (at most 2% more time)
+UNIT_EVERY = 50
+UNITS_MAX = 20
+# an op is scaled by the units taken within NEAR_NS before and after it
+NEAR_NS = 50 * 10 ** 6
+# units taken before and after each set-up probe
+SETUP_UNITS = 3
+
+
+def host_unit():
+    """Big-integer tree steps and a rational determinant, as qmtree does."""
+    key = (1, 0, 1)
+    for t in range(40):
+        key = orc.step(1009, key, t * 37 % 1010)
+    return key, orc.reduced_discriminant(-1, -1, UNIT_BASIS)
+
+
+def time_units(n, out):
+    """Run ``n`` units; append (start, duration) of each to ``out``."""
+    for _ in range(n):
+        t0 = time.perf_counter_ns()
+        host_unit()
+        out.append((t0, time.perf_counter_ns() - t0))
+    return out
+
+
+def scaled(ns, *sides):
+    """``ns`` at the reference host speed, given the units taken on each
+    side of it: the median unit of each side that has any, weighed equally."""
+    ref = [median([u for _, u in side]) for side in sides if side]
+    return ns * len(ref) * UNIT_NS // sum(ref)
+
+
+def scaled_ops(starts, lat, units):
+    """Each op time scaled by the units started within NEAR_NS before it
+    and within NEAR_NS after it.  ``units`` is in time order, and each op
+    has units right after it."""
+    at = [a for a, _ in units]
+    out = []
+    for t0, ns in zip(starts, lat):
+        lo = bisect_left(at, t0 - NEAR_NS)
+        mid = bisect_left(at, t0 + ns)
+        hi = bisect_right(at, t0 + ns + NEAR_NS)
+        out.append(scaled(ns, units[lo:mid], units[mid:hi]))
+    return out
 
 
 def child_env():
@@ -85,18 +147,23 @@ def load_qmtree():
 
 def measure_setup(env, st):
     """One fresh-interpreter start to ``import qmtree`` done, as seen by the
-    parent (ns), and the import alone as timed inside the child (ns)."""
+    parent (ns), the same scaled to the reference host speed, and the
+    import alone as timed inside the child (ns)."""
+    t_pause = time.perf_counter_ns()
+    before = time_units(SETUP_UNITS, [])
     t0 = time.perf_counter_ns()
     with subprocess.Popen([sys.executable, "-c", IMPORT_PROBE], cwd=ROOT,
                           env=env, stdout=subprocess.PIPE, text=True) as p:
         line = p.stdout.readline()
         t1 = time.perf_counter_ns()
         p.stdout.read()
+    after = time_units(SETUP_UNITS, [])
     if p.returncode != 0 or not line.strip().isdigit():
         raise SystemExit("error: `import qmtree` failed in a fresh interpreter")
     st.setup_wall.append(t1 - t0)
+    st.setup_scaled.append(scaled(t1 - t0, before, after))
     st.setup_inner.append(int(line))
-    st.paused += time.perf_counter_ns() - t0
+    st.paused += time.perf_counter_ns() - t_pause
 
 
 def median(xs):
@@ -153,10 +220,11 @@ def run_loop(work, seconds, tracer, env):
     ``work.mix_decks`` decks runs traced until ``SPAN_CAP`` spans are held,
     so traced and untraced ops have the same mix."""
     st = types.SimpleNamespace(
-        lat=[], attempted=0, failed=0, errors=[], kinds={}, seen={},
-        repeats={}, busy={True: 0, False: 0}, ops={True: 0, False: 0},
+        starts=[], lat=[], units=[], attempted=0, failed=0, errors=[],
+        kinds={}, seen={}, repeats={}, busy={True: 0, False: 0},
+        ops={True: 0, False: 0},
         ref_ns=[], spawn_ns=[], peak_rss_kb=None, cache_info=None, decks=0,
-        setup_wall=[], setup_inner=[], paused=0)
+        setup_wall=[], setup_scaled=[], setup_inner=[], paused=0)
     clock = time.perf_counter_ns
     budget = seconds * 10 ** 9
     t_start = clock()
@@ -202,6 +270,7 @@ def run_op(op, st, traced, tracer):
     try:
         result = op.run()
         t1 = clock()
+        sample_host(st, t1 - t0)
         args = [result]
         if op.reference is not None:
             r0 = clock()
@@ -212,28 +281,44 @@ def run_op(op, st, traced, tracer):
                 st.spawn_ns.append((t1 - t0) - (r1 - r0))
         op.check(*args)
     except Exception as exc:  # every failure is counted and reported
-        t1 = t1 or clock()
+        if t1 is None:
+            t1 = clock()
+            sample_host(st, t1 - t0)
         st.failed += 1
         if len(st.errors) < 5:
             st.errors.append(f"{op.kind}: {type(exc).__name__}: {exc}")
     finally:
         if traced:
             tracer.op_id = tr.NO_PARENT
+    st.starts.append(t0)
     st.lat.append(t1 - t0)
     st.busy[traced] += t1 - t0
     st.ops[traced] += 1
 
 
+def sample_host(st, op_ns):
+    """The units that follow an op, before its reference and oracle run."""
+    time_units(min(UNITS_MAX, 1 + op_ns // (UNIT_EVERY * UNIT_NS)), st.units)
+
+
+def time_metrics(lat, setup, ok):
+    tail_ns, tail_pct, beyond = tail(lat)
+    return {"setup_s": median(setup) / 10 ** 9,
+            "ops_per_s": ok * 10 ** 9 / sum(lat),
+            "op_p50_ms": median(lat) / NS_PER_MS,
+            "op_tail_ms": tail_ns / NS_PER_MS}, tail_pct, beyond
+
+
 def end_to_end(st, mem_decks):
-    tail_ns, tail_pct, beyond = tail(st.lat)
-    metrics = {
-        "setup_s": median(st.setup_wall) / 10 ** 9,
-        "ops_per_s": (st.attempted - st.failed) * 10 ** 9 / sum(st.lat),
-        "op_p50_ms": median(st.lat) / NS_PER_MS,
-        "op_tail_ms": tail_ns / NS_PER_MS,
-        "peak_rss_mb": st.peak_rss_kb / 1024,
-    }
-    notes = {"op_tail_percentile": round(tail_pct, 2),
+    ok = st.attempted - st.failed
+    metrics, tail_pct, beyond = time_metrics(
+        scaled_ops(st.starts, st.lat, st.units), st.setup_scaled, ok)
+    metrics["peak_rss_mb"] = st.peak_rss_kb / 1024
+    notes = {"as_measured": time_metrics(st.lat, st.setup_wall, ok)[0],
+             "host_unit_ms": median([u for _, u in st.units]) / NS_PER_MS,
+             "host_unit_ref_ms": UNIT_NS / NS_PER_MS,
+             "host_units": len(st.units),
+             "op_tail_percentile": round(tail_pct, 2),
              "op_tail_samples_beyond": beyond, "op_samples": len(st.lat),
              "setup_samples": len(st.setup_wall),
              "peak_rss_after_decks": mem_decks}

@@ -183,6 +183,27 @@ def test_tail_has_ten_samples_beyond_it():
     assert run.median([5, 1, 3, 2]) == 2
 
 
+def test_op_times_are_scaled_by_the_units_next_to_them():
+    u, near = run.UNIT_NS, run.NEAR_NS
+    # ops 1 ms apart, each followed by one unit; the host runs at half
+    # speed from the 40th op on
+    starts = [i * 10 ** 6 for i in range(80)]
+    lat = [10 ** 5] * 40 + [2 * 10 ** 5] * 40
+    units = [(t + 2 * 10 ** 5, u if i < 40 else 2 * u)
+             for i, t in enumerate(starts)]
+    got = run.scaled_ops(starts, lat, units)
+    assert got[:5] == got[-5:] == [10 ** 5] * 5
+    # an op an hour later is scaled only by the units next to it
+    starts.append(3600 * 10 ** 9)
+    lat.append(10 ** 9)
+    units.append((starts[-1] + 10 ** 9, 4 * u))
+    assert run.scaled_ops(starts, lat, units)[-1] == 10 ** 9 // 4
+    # one slow unit is outvoted by its neighbours; the sides weigh the same
+    assert run.scaled(3 * u, [(0, u), (1, 3 * u), (near, 3 * u)]) == u
+    assert run.scaled(3 * u, [(0, u)] * 9, [(near, 2 * u)]) == 2 * u
+    assert len(run.time_units(2, [])) == 2
+
+
 def test_tracer_wraps_imported_names_and_restores_them():
     bt, ct = QM.tree, QM.center
     orig = bt.geodesic

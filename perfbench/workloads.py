@@ -254,6 +254,11 @@ class Tree:
         self.path_len = {ell: Spread(rng, range(1, 11)) for ell in SMALL_ELLS}
         self.path_len[101] = Spread(rng, range(2, 11))
         self.path_len[1009] = Spread(rng, range(2, 9))
+        # set sizes of the center and subtree ops
+        top = {ell: 4 if ell == 101 else 8 for ell in SMALL_ELLS + (101,)}
+        self.set_size = {(op, ell): Spread(rng, range(2, n + 1))
+                         for op in ("center", "span")
+                         for ell, n in top.items()}
 
     def _tv(self, ell, key):
         a, b, d = key
@@ -303,11 +308,10 @@ class Tree:
     def deck(self):
         ops = []
         for ell in SMALL_ELLS + (101,):
-            top = 4 if ell == 101 else 8
             ops += [self.geodesic_op(ell), self.neighbors_op(ell),
                     self.distance_op(ell),
-                    self.center_op(ell, self.rng.randint(2, top)),
-                    self.subtree_op(ell, self.rng.randint(2, top))]
+                    self.center_op(ell, self.set_size["center", ell].draw()),
+                    self.subtree_op(ell, self.set_size["span", ell].draw())]
         # at 1009 only the path ops: a set op there would run for seconds
         ops += [self.geodesic_op(1009), self.neighbors_op(1009),
                 self.distance_op(1009)]
