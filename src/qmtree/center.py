@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Dict, Iterable, List, Tuple
 
-from .errors import InvariantError, PreconditionError
+from .errors import PreconditionError
 from .tree import TreeVertex, distance, geodesic
 
 
@@ -35,27 +34,16 @@ def _center_of_pair(u: TreeVertex, v: TreeVertex) -> Center:
 def tree_center(vertices: Iterable[TreeVertex]) -> Center:
     """Midpoint of a diametral pair of the set.
 
-    All diametral pairs of a tree metric share their midpoint; that is
-    re-derived here pair by pair and checked, as a guard on the distance
-    and geodesic code underneath.
+    The pair comes from a double sweep: the member farthest from any
+    member, then the member farthest from that one.  In a tree this pair is
+    diametral, and all diametral pairs share their midpoint.
     """
     vs = sorted(set(vertices))
     if not vs:
         raise PreconditionError("center of an empty set")
-    if len(vs) == 1:
-        return Center("vertex", (vs[0],))
-    pairs = {}
-    diam = 0
-    for u, v in combinations(vs, 2):
-        d = distance(u, v)
-        pairs.setdefault(d, []).append((u, v))
-        diam = max(diam, d)
-    if diam == 0:
-        return Center("vertex", (vs[0],))
-    centers = {_center_of_pair(u, v) for u, v in pairs[diam]}
-    if len(centers) != 1:
-        raise InvariantError("diametral pairs disagree about the center")
-    return centers.pop()
+    a = max(vs, key=lambda w: distance(vs[0], w))
+    b = max(vs, key=lambda w: distance(a, w))
+    return _center_of_pair(a, b)
 
 
 @dataclass(frozen=True)
@@ -74,20 +62,18 @@ class Subtree:
 
 
 def spanned_subtree(vertices: Iterable[TreeVertex]) -> Subtree:
-    """Smallest connected subtree containing the set: the union of all
-    pairwise geodesics."""
+    """Smallest connected subtree containing the set: the union of the
+    geodesics from one member to all the others."""
     vs = sorted(set(vertices))
     if not vs:
         raise PreconditionError("span of an empty set")
-    nodes = set(vs)
-    for u, v in combinations(vs, 2):
-        nodes.update(geodesic(u, v))
-    nodes = sorted(nodes)
-    edges = []
-    for u, v in combinations(nodes, 2):
-        if distance(u, v) == 1:
-            edges.append((u, v))
-    return Subtree(tuple(nodes), tuple(edges))
+    # one object per vertex, shared by the node list and the edges
+    node = {v: v for v in vs}
+    edges = set()
+    for v in vs[1:]:
+        path = [node.setdefault(w, w) for w in geodesic(vs[0], v)]
+        edges.update((min(a, b), max(a, b)) for a, b in zip(path, path[1:]))
+    return Subtree(tuple(sorted(node)), tuple(sorted(edges)))
 
 
 def eccentricity_table(sub: Subtree) -> Dict[TreeVertex, int]:

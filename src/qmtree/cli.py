@@ -28,7 +28,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent import futures
 from fractions import Fraction
 from pathlib import Path
 
@@ -251,21 +250,10 @@ def cmd_bt_center(args) -> int:
 # ------------------------------------------------------------- descent
 
 
-def _run_one(path: str):
-    report = dsc.run_descent(dsc.load_scenario(path))
-    return report
-
-
 def cmd_descent_run(args) -> int:
     if args.report and len(args.scenario) != 1:
         raise ValidationError("--report only applies to a single scenario")
-    if args.jobs < 1:
-        raise ValidationError("--jobs must be at least 1")
-    if args.jobs == 1 or len(args.scenario) == 1:
-        reports = [_run_one(p) for p in args.scenario]
-    else:
-        with futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(_run_one, args.scenario))
+    reports = [dsc.run_descent(dsc.load_scenario(p)) for p in args.scenario]
     for path, report in zip(args.scenario, reports):
         text = dsc.report_to_json(report)
         if args.report:
@@ -381,8 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario", nargs="+", help="scenario JSON files")
     p.add_argument("--report", help="write the single report here")
     p.add_argument("--report-dir", help="write one report per scenario here")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="evaluate scenarios concurrently")
     p.set_defaults(func=cmd_descent_run)
 
     return parser

@@ -66,17 +66,6 @@ def isogeny_degree(I: LeftIdeal) -> IsogenyDegree:
                          degree=n * n, is_multiplication=(n0 == 1))
 
 
-def _index_ell_sublattices(L: Mat2i, ell: int) -> List[Mat2i]:
-    r1, r2 = L
-    out = []
-    lines = [tuple(x + t * y for x, y in zip(r1, r2)) for t in range(ell)]
-    lines.append(r2)
-    for w in lines:
-        rows = (w, tuple(ell * x for x in r1), tuple(ell * x for x in r2))
-        out.append(la.hnf_basis(la.imat(rows), expect_rank=2))
-    return out
-
-
 def _ideal_from_local_lattice(order: Order, th: SplittingData,
                               L: Mat2i) -> LeftIdeal:
     """The left ideal of everything whose image rows fall in L locally."""
@@ -117,7 +106,7 @@ def build_ideal_tree(order: Order, ell: int, depth: int,
         nxt: List[int] = []
         for idx in frontier:
             node = nodes[idx]
-            kept = [L for L in _index_ell_sublattices(node.local, ell)
+            kept = [L for L in bt.index_ell_sublattices(node.local, ell)
                     if any(x % ell for row in L for x in row)]
             expect = ell + 1 if k == 0 else ell
             if len(kept) != expect:

@@ -203,12 +203,6 @@ def lattice_right_order(A: QuaternionAlgebra, rows) -> Order:
 
 # ------------------------------------------------------- maximalization
 
-def _unit_in_quotient(order, coords, ell) -> bool:
-    # invertibility mod ell is detected by the reduced norm being a unit
-    x = _elt(order.algebra, la.mat_mul((coords,), order.basis)[0])
-    return int(x.nrd()) % ell != 0
-
-
 def radical_coords(order: Order, ell: int) -> List[Tuple[int, ...]]:
     """Order-coordinate vectors spanning the radical of O/(ell) over F_ell.
 
@@ -266,8 +260,8 @@ def _lift_idempotent(order: Order, coords, ell: int, k: int):
         c = tuple(int(t) % mod for t in order.coords(e))
         e = _elt(A, la.mat_mul((c,), order.basis)[0])
     c = tuple(int(t) % mod for t in order.coords(e))
-    assert all(int(t) % mod == 0
-               for t in order.coords(e * e - e)), "idempotent lift failed"
+    if any(int(t) % mod for t in order.coords(e * e - e)):
+        raise InvariantError("idempotent lift failed")
     return c
 
 
@@ -445,7 +439,8 @@ def splitting_data(order: Order, ell: int, k: int = 1,
     # pivot rows with a unit 2x2 minor
     piv = next(((a, b) for a in range(4) for b in range(4) if a != b and
                 (V[0][a] * V[1][b] - V[0][b] * V[1][a]) % ell), None)
-    assert piv is not None
+    if piv is None:
+        raise InvariantError("splitting module basis has no unit minor")
     a_, b_ = piv
     dmin = (V[0][a_] * V[1][b_] - V[0][b_] * V[1][a_]) % mod
     dinv = pow(dmin, -1, mod)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .errors import AlgebraError
+from .errors import AlgebraError, InvariantError
 
 # place tokens: a prime for a finite place, None for the real place
 Place = Optional[int]
@@ -168,13 +168,14 @@ class QuaternionAlgebra:
 
     def ramified_primes(self) -> List[int]:
         """Sorted finite ramified primes.  Their count has the same parity as
-        ramification at the real place (product formula), which we assert."""
+        ramification at the real place (product formula), which is checked."""
         cand = {2}
         cand.update(p for p, _ in factorize(squarefree_part(self.a)) if p > 0)
         cand.update(p for p, _ in factorize(squarefree_part(self.b)) if p > 0)
         ram = sorted(p for p in cand if self.is_ramified_at(p))
         real = self.is_ramified_at(None)
-        assert len(ram) % 2 == (1 if real else 0), "product formula violated"
+        if len(ram) % 2 != (1 if real else 0):
+            raise InvariantError("product formula violated")
         return ram
 
     def discriminant(self) -> int:
@@ -274,9 +275,6 @@ class QuatElement:
             raise AlgebraError("element of reduced norm 0 has no inverse")
         return QuatElement(self.algebra,
                            tuple(c / n for c in self.conjugate().coeffs))
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.coeffs)
 
     def __repr__(self):
         names = ("", "i", "j", "k")

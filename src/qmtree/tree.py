@@ -12,12 +12,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Tuple
 
 from . import linalg as la
 from .errors import (InvariantError, PreconditionError, RankError,
                      ValidationError)
-from .orders import (LeftIdeal, SplittingData, splitting_data, valuation)
+from .orders import LeftIdeal, splitting_data, valuation
 from .quaternion import is_prime
 
 Mat2i = Tuple[Tuple[int, int], Tuple[int, int]]
@@ -82,40 +82,29 @@ def _hnf2_rows(rows) -> Mat2i:
 def canonicalize(ell: int, rows) -> TreeVertex:
     """The canonical representative of the lattice class of rowspan(rows).
 
-    Scaling and changing basis leave the result unchanged; prime-to-ell
-    structure is discarded by saturating with a large ell-power multiple of
-    the standard lattice, which does not move the class at ell.
+    rows is a 2x2 matrix of integers or Fractions.  Scaling and changing
+    basis leave the result unchanged; prime-to-ell structure is discarded by
+    saturating with a large ell-power multiple of the standard lattice,
+    which does not move the class at ell.
     """
     if not is_prime(ell):
         raise PreconditionError(f"{ell} is not a prime")
-    flat = [x for row in rows for x in row]
-    if len(flat) == 4 and all(isinstance(x, int) for x in flat):
-        w, x, y, z = flat
-        dt = w * z - x * y
-        if dt == 0:
-            raise RankError("lattice matrix is singular")
-        m = ell ** (valuation(dt, ell) + 1)
-        (a, b), (_, d) = _hnf2_rows(((w, x), (y, z), (m, 0), (0, m)))
-        while a % ell == 0 and b % ell == 0 and d % ell == 0:
-            a //= ell
-            b //= ell
-            d //= ell
-        v = TreeVertex(ell, ((a, b), (0, d)))
-        _check_canonical(v)
-        return v
-    R = la.rmat(rows)
-    if len(R) != 2 or len(R[0]) != 2:
-        raise PreconditionError("need a 2x2 matrix")
-    if la.det(R) == 0:
+    try:
+        (w, x), (y, z) = rows
+    except (TypeError, ValueError):
+        raise PreconditionError("need a 2x2 matrix") from None
+    if not all(isinstance(t, int) for t in (w, x, y, z)):
+        ((w, x), (y, z)), _ = la.clear_denominators(((w, x), (y, z)))
+    dt = w * z - x * y
+    if dt == 0:
         raise RankError("lattice matrix is singular")
-    A, _ = la.clear_denominators(R)
-    K = valuation(int(la.det(A)), ell) + 1
-    stacked = A + ((ell ** K, 0), (0, ell ** K))
-    H = la.hnf_basis(la.imat(stacked), expect_rank=2)
-    c = la.content(H)
-    # content is automatically a power of ell here
-    H = tuple(tuple(x // c for x in row) for row in H)
-    v = TreeVertex(ell, H)
+    m = ell ** (valuation(dt, ell) + 1)
+    (a, b), (_, d) = _hnf2_rows(((w, x), (y, z), (m, 0), (0, m)))
+    while a % ell == 0 and b % ell == 0 and d % ell == 0:
+        a //= ell
+        b //= ell
+        d //= ell
+    v = TreeVertex(ell, ((a, b), (0, d)))
     _check_canonical(v)
     return v
 
@@ -139,17 +128,22 @@ def root(ell: int) -> TreeVertex:
     return canonicalize(ell, ((1, 0), (0, 1)))
 
 
+def index_ell_sublattices(L: Mat2i, ell: int) -> List[Mat2i]:
+    """Row HNF bases of the ell+1 index-ell sublattices of rowspan(L).
+
+    L is in row HNF ((a, b), (0, d)).  Each sublattice is ell*L plus one
+    line of L/ell*L: r1 + t*r2 for t = 0..ell-1, then r2, in that order.
+    """
+    (a, b), (_, d) = L
+    out = [((a, (b + t * d) % (ell * d)), (0, ell * d)) for t in range(ell)]
+    out.append(((ell * a, ell * b % d), (0, d)))
+    return out
+
+
 def neighbors(v: TreeVertex) -> Tuple[TreeVertex, ...]:
     """The ell+1 classes of index-ell sublattices, in key order."""
     ell = v.ell
-    r1, r2 = v.mat
-    ell_r1 = tuple(ell * x for x in r1)
-    ell_r2 = tuple(ell * x for x in r2)
-    # span(r1 + t*r2, ell*r1, ell*r2) = span(r1 + t*r2, ell*r2)
-    bases = [(tuple(x + t * y for x, y in zip(r1, r2)), ell_r2)
-             for t in range(ell)]
-    bases.append((r2, ell_r1))
-    out = {canonicalize(ell, rows) for rows in bases}
+    out = {canonicalize(ell, L) for L in index_ell_sublattices(v.mat, ell)}
     if len(out) != ell + 1:
         raise InvariantError("neighbor classes collided")
     return tuple(sorted(out))
@@ -172,17 +166,29 @@ def distance(u: TreeVertex, v: TreeVertex) -> int:
 
 
 def geodesic(u: TreeVertex, v: TreeVertex) -> Tuple[TreeVertex, ...]:
-    """The unique path from u to v, endpoints included."""
+    """The unique path from u to v, endpoints included.
+
+    Scale v by a power of ell to M inside u but not inside ell*u; then
+    u/M is cyclic of order ell^d at ell and the path is [M + ell^i u] for
+    i = 0..d (Serre, Trees, II.1).
+    """
+    d = distance(u, v)
+    if d == 0:
+        return (u,)
+    ell = u.ell
+    (ua, ub), (_, ud) = u.mat
+    (va, vb), (_, vd) = v.mat
+    # ell-part of the content of v.mat times the adjugate of u.mat
+    e = ell ** valuation(gcd(gcd(va * ud, vb * ua - va * ub), vd * ua), ell)
+    s = ua * ud // e
+    M = tuple(tuple(s * x for x in row) for row in v.mat)
     path = [u]
-    cur = u
-    left = distance(u, v)
-    while left > 0:
-        nxt = [w for w in neighbors(cur) if distance(w, v) == left - 1]
-        if len(nxt) != 1:
-            raise InvariantError("geodesic step is not unique")
-        cur = nxt[0]
-        path.append(cur)
-        left -= 1
+    for i in range(1, d + 1):
+        p = ell ** i
+        path.append(canonicalize(ell, _hnf2_rows(
+            M + ((p * ua, p * ub), (0, p * ud)))))
+    if path[-1] != v:
+        raise InvariantError("geodesic does not end at its target")
     return tuple(path)
 
 
@@ -227,10 +233,4 @@ def localize_ideal(I: LeftIdeal, ell: int, seed: int = 0) -> TreeVertex:
     m = ell ** k
     rows.append((m, 0))
     rows.append((0, m))
-    H = la.hnf_basis(la.imat(rows), expect_rank=2)
-    return canonicalize(ell, H)
-
-
-def splitting_for(I: LeftIdeal, ell: int, k: int,
-                  seed: int = 0) -> SplittingData:
-    return splitting_data(I.order, ell, k, seed)
+    return canonicalize(ell, _hnf2_rows(rows))

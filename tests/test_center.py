@@ -1,6 +1,7 @@
 """Center and spanned-subtree tests, validated against brute-force
 eccentricities over whole balls."""
 
+import itertools
 import random
 
 import pytest
@@ -95,6 +96,26 @@ def test_spanned_subtree_is_a_tree():
             assert s in sub.vertices
         table = eccentricity_table(sub)
         assert set(table) == set(sub.vertices)
+
+
+def test_spanned_subtree_is_the_union_of_pairwise_geodesics():
+    rng = random.Random(103)
+    for ell, radius in ((2, 3), (3, 2), (5, 2)):
+        verts = bt.ball(bt.root(ell), radius)
+        for _ in range(15):
+            S = rng.sample(verts, rng.randint(1, 6))
+            nodes = set(S)
+            for u, v in itertools.combinations(S, 2):
+                nodes.update(bt.geodesic(u, v))
+            nodes = sorted(nodes)
+            edges = [(u, v) for u, v in itertools.combinations(nodes, 2)
+                     if bt.distance(u, v) == 1]
+            sub = spanned_subtree(S)
+            assert sub.vertices == tuple(nodes)
+            assert sub.edges == tuple(edges)
+            # edges hold the node objects themselves, not equal copies
+            ids = {id(v) for v in sub.vertices}
+            assert all(id(a) in ids and id(b) in ids for a, b in sub.edges)
 
 
 def test_subtree_neighbor_listing():

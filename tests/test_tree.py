@@ -41,6 +41,23 @@ def bfs_distance(u, v, cap=8):
     raise AssertionError("BFS cap hit")
 
 
+def walk_geodesic(u, v):
+    """Reference path: step to the one neighbor that is closer to v."""
+    path = [u]
+    while path[-1] != v:
+        left = bt.distance(path[-1], v)
+        (nxt,) = [w for w in bt.neighbors(path[-1])
+                  if bt.distance(w, v) == left - 1]
+        path.append(nxt)
+    return tuple(path)
+
+
+def random_walk(rng, v, n):
+    for _ in range(n):
+        v = rng.choice(bt.neighbors(v))
+    return v
+
+
 # ---------------------------------------------------------------- canonical
 
 def test_canonicalize_fixed_examples():
@@ -77,8 +94,10 @@ def test_canonicalize_invariances():
 def test_canonicalize_rejects_singular_and_nonprime():
     with pytest.raises(RankError):
         bt.canonicalize(2, ((1, 2), (2, 4)))
-    with pytest.raises(PreconditionError):
-        bt.canonicalize(6, ((1, 0), (0, 1)))
+    for ell, rows in ((6, ((1, 0), (0, 1))), (2, ((1, 2, 3, 4),)),
+                      (2, ((1,), (2,), (3,), (4,)))):
+        with pytest.raises(PreconditionError):
+            bt.canonicalize(ell, rows)
 
 
 def test_vertex_text_roundtrip():
@@ -103,6 +122,25 @@ def test_neighbor_counts_and_symmetry():
         for v in nb:
             assert bt.distance(r, v) == 1
             assert r in bt.neighbors(v)
+
+
+def test_index_ell_sublattices_are_hnf_bases():
+    # two levels of honest sublattices below the standard lattice,
+    # imprimitive ones included
+    for ell in (2, 3, 5):
+        level = [((1, 0), (0, 1))]
+        for _ in range(2):
+            nxt = []
+            for L in level:
+                r1, r2 = L
+                ell_L = (tuple(ell * x for x in r1), tuple(ell * x for x in r2))
+                lines = [tuple(x + t * y for x, y in zip(r1, r2))
+                         for t in range(ell)] + [r2]
+                want = [la.hnf_basis((w,) + ell_L, expect_rank=2)
+                        for w in lines]
+                assert bt.index_ell_sublattices(L, ell) == want
+                nxt.extend(want)
+            level = nxt
 
 
 def test_sphere_sizes():
@@ -155,6 +193,34 @@ def test_geodesic_steps_are_edges():
         for a, b in zip(g, g[1:]):
             assert bt.distance(a, b) == 1
         assert len(set(g)) == len(g)
+
+
+def test_geodesic_matches_neighbor_walk():
+    rng = random.Random(97)
+    for ell, radius in ((2, 4), (3, 3), (5, 2)):
+        verts = bt.ball(bt.root(ell), radius)
+        for _ in range(40):
+            u, v = rng.choice(verts), rng.choice(verts)
+            assert bt.geodesic(u, v) == walk_geodesic(u, v)
+    for _ in range(4):
+        u = random_walk(rng, bt.root(101), rng.randint(0, 3))
+        v = random_walk(rng, u, rng.randint(1, 4))
+        assert bt.geodesic(u, v) == walk_geodesic(u, v)
+
+
+def test_long_geodesic_at_a_large_prime():
+    ell = 1009
+    rng = random.Random(101)
+    u = bt.canonicalize(ell, ((1, rng.randrange(ell)), (0, ell)))
+    v = u
+    while bt.distance(u, v) < 8:
+        L = rng.choice(bt.index_ell_sublattices(v.mat, ell))
+        v = bt.canonicalize(ell, L)
+    g = bt.geodesic(u, v)
+    assert len(g) == 9 and g[0] == u and g[-1] == v
+    for i, (a, b) in enumerate(zip(g, g[1:])):
+        assert bt.distance(a, b) == 1
+        assert bt.distance(b, v) == 7 - i
 
 
 def test_mixed_prime_distance_rejected():
