@@ -56,6 +56,9 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 # closure guard; the homomorphism check is quadratic in the group size
 _GROUP_LIMIT = 512
+# entries kept by each subtree/extension cache: one run_descent uses a few
+# per prime, and a long-lived process must not keep every vertex set it saw
+_CACHE_SIZE = 256
 
 Word = Tuple[str, ...]
 # (per-split-prime index permutations, per-ramified-prime signs)
@@ -387,12 +390,12 @@ def word_label(s: GaloisScenario, word: Word) -> str:
     return "*".join(word)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _subtree_of(vertices):
     return spanned_subtree(vertices)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _extension(ell, verts, perm):
     """Unique isometric extension of the permutation to the spanned subtree.
 
@@ -401,17 +404,20 @@ def _extension(ell, verts, perm):
     """
     sub = _subtree_of(verts)
     n = len(verts)
+    # each pair's distance and image geodesic, once for all vertices
+    pairs = [(i, j, distance(verts[i], verts[j]),
+              geodesic(verts[perm[i]], verts[perm[j]]))
+             for i, j in combinations(range(n), 2)]
     image = {}
     for v in sub.vertices:
         cand = set()
         for i in range(n):
             if v == verts[i]:
                 cand.add(verts[perm[i]])
-        for i, j in combinations(range(n), 2):
-            a = distance(verts[i], v)
-            if a + distance(v, verts[j]) == distance(verts[i], verts[j]):
-                path = geodesic(verts[perm[i]], verts[perm[j]])
-                cand.add(path[a])
+        to_v = [distance(w, v) for w in verts]
+        for i, j, d, path in pairs:
+            if to_v[i] + to_v[j] == d:
+                cand.add(path[to_v[i]])
         if len(cand) != 1:
             raise InconsistencyError(
                 f"action at {ell} has no consistent extension "

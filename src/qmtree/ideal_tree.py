@@ -16,8 +16,8 @@ from typing import List, Optional, Tuple
 
 from . import linalg as la
 from .errors import InvariantError, PreconditionError, ResourceError
-from .orders import (LeftIdeal, Order, SplittingData, eichler_level,
-                     splitting_data, valuation)
+from .orders import (LeftIdeal, Order, SplittingData, _hnf_index,
+                     _in_triangular, eichler_level, splitting_data)
 from . import tree as bt
 
 Mat2i = Tuple[Tuple[int, int], Tuple[int, int]]
@@ -66,9 +66,9 @@ def isogeny_degree(I: LeftIdeal) -> IsogenyDegree:
                          degree=n * n, is_multiplication=(n0 == 1))
 
 
-def _ideal_from_local_lattice(order: Order, th: SplittingData,
-                              L: Mat2i) -> LeftIdeal:
-    """The left ideal of everything whose image rows fall in L locally."""
+def _local_lattice_coords(th: SplittingData, L: Mat2i) -> la.IntMatrix:
+    """HNF over the order basis of the left ideal of everything whose image
+    rows fall in L locally."""
     (a, b), (_, d) = L
     ell = th.ell
     if a * d >= th.modulus:
@@ -80,8 +80,7 @@ def _ideal_from_local_lattice(order: Order, th: SplittingData,
         f2 = tuple(a * th.images[i][r][1] - b * th.images[i][r][0]
                    for i in range(4))
         R = la.congruence_sublattice(R, f2, a * d)
-    rows = la.mat_mul(la.rmat(R), order.basis)
-    return LeftIdeal(order, rows)
+    return R
 
 
 def build_ideal_tree(order: Order, ell: int, depth: int,
@@ -100,9 +99,13 @@ def build_ideal_tree(order: Order, ell: int, depth: int,
     root_ideal = LeftIdeal(order, order.basis)
     nodes: List[IdealNode] = [IdealNode(root_ideal, 0, None, (),
                                         ((1, 0), (0, 1)))]
+    # order coordinates of each node's ideal, in HNF
+    coords: List[la.IntMatrix] = [la.identity(4)]
+    # one splitting serves every level: a node at depth k needs its images
+    # mod ell^k only, and lower precisions are reductions of this one
+    th = splitting_data(order, ell, depth + 2, seed) if depth else None
     frontier = [0]
     for k in range(depth):
-        th = splitting_data(order, ell, k + 3, seed)
         nxt: List[int] = []
         for idx in frontier:
             node = nodes[idx]
@@ -113,17 +116,20 @@ def build_ideal_tree(order: Order, ell: int, depth: int,
                 raise InvariantError("wrong number of primitive steps")
             children = []
             for L in kept:
-                J = _ideal_from_local_lattice(order, th, L)
-                if J.norm() != ell ** (k + 1):
+                R = _local_lattice_coords(th, L)
+                J = LeftIdeal.from_order_coords(order, R)
+                if _hnf_index(R) != ell ** (2 * k + 2):
                     raise InvariantError("child ideal has the wrong norm")
                 if not node.ideal.order.contains_lattice(J.lattice):
                     raise InvariantError("child left the order")
-                if la.rat_lattice_index(node.ideal.lattice, J.lattice) != ell * ell:
+                if (not all(_in_triangular(row, coords[idx]) for row in R)
+                        or _hnf_index(R) != _hnf_index(coords[idx]) * ell * ell):
                     raise InvariantError("child is not an index-ell^2 step")
-                if not J.is_primitive():
+                if la.content(R) != 1:
                     raise InvariantError("child ideal is imprimitive")
                 child = len(nodes)
                 nodes.append(IdealNode(J, k + 1, idx, (), L))
+                coords.append(R)
                 children.append(child)
             node.children = tuple(children)
             nxt.extend(children)
@@ -136,10 +142,11 @@ def verify_tree_isomorphism(tr: IdealTree, seed: int = 0) -> dict:
     localizations must map level k bijectively onto the radius-k sphere and
     turn parent/child pairs into tree edges."""
     r = bt.root(tr.ell)
+    th = splitting_data(tr.order, tr.ell, tr.depth + 1, seed)
     vertex_of: List[bt.TreeVertex] = []
     consistent = True
     for node in tr.nodes:
-        v = bt.localize_ideal(node.ideal, tr.ell, seed)
+        v = bt._localize(node.ideal, th)
         vertex_of.append(v)
         if v != bt.canonicalize(tr.ell, node.local):
             consistent = False

@@ -313,11 +313,13 @@ def kernel_mod_p(M: IntMatrix, p: int) -> List[IntVector]:
 
 def clear_denominators(M: RatMatrix) -> Tuple[IntMatrix, int]:
     """(d*M as an integer matrix, d) with d the lcm of all denominators."""
+    F = [[Fraction(x) for x in row] for row in M]
     d = 1
-    for row in M:
+    for row in F:
         for x in row:
-            d = lcm(d, Fraction(x).denominator)
-    A = tuple(tuple(int(Fraction(x) * d) for x in row) for row in M)
+            d = lcm(d, x.denominator)
+    A = tuple(tuple(x.numerator * (d // x.denominator) for x in row)
+              for row in F)
     return A, d
 
 

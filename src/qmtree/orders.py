@@ -21,7 +21,8 @@ from typing import Dict, List, Sequence, Tuple
 from . import linalg as la
 from .errors import (InvariantError, PreconditionError, ResourceError,
                      ValidationError)
-from .quaternion import QuatElement, QuaternionAlgebra, factorize
+from .quaternion import (QuatElement, QuaternionAlgebra, _legendre, factorize,
+                         sqrt_mod)
 
 Mat2 = Tuple[Tuple[int, int], Tuple[int, int]]
 
@@ -203,6 +204,39 @@ def lattice_right_order(A: QuaternionAlgebra, rows) -> Order:
 
 # ------------------------------------------------------- maximalization
 
+def _trace_norm_form(order: Order):
+    """Integer coefficients (t, q) of trd and nrd over the order basis.
+
+    x = sum c_i e_i has trd(x) = sum t_i c_i and nrd(x) = sum over i <= j
+    of q[i, j] c_i c_j, with q[i, i] = nrd(e_i) and q[i, j] = trd(e_i e_j^*)
+    = nrd(e_i + e_j) - nrd(e_i) - nrd(e_j).
+    """
+    elts = order.elements()
+    t = tuple(int(x.trd()) for x in elts)
+    n = [int(x.nrd()) for x in elts]
+    q = {}
+    for i in range(4):
+        q[i, i] = n[i]
+        for j in range(i + 1, 4):
+            q[i, j] = int((elts[i] + elts[j]).nrd()) - n[i] - n[j]
+    return t, q
+
+
+def _char_poly(form, c) -> Tuple[int, int]:
+    """(trd, nrd) of the element with order coordinates c."""
+    t, q = form
+    return (sum(ti * ci for ti, ci in zip(t, c)),
+            sum(qij * c[i] * c[j] for (i, j), qij in q.items()))
+
+
+def _trace_pairing(form) -> la.IntMatrix:
+    """trd(e_i e_j) = t_i t_j - trd(e_i e_j^*) over the order basis."""
+    t, q = form
+    return tuple(tuple(t[i] * t[j] - (2 * q[i, i] if i == j
+                                      else q[min(i, j), max(i, j)])
+                       for j in range(4)) for i in range(4))
+
+
 def radical_coords(order: Order, ell: int) -> List[Tuple[int, ...]]:
     """Order-coordinate vectors spanning the radical of O/(ell) over F_ell.
 
@@ -211,20 +245,21 @@ def radical_coords(order: Order, ell: int) -> List[Tuple[int, ...]]:
     vanish identically, so fall back to quasi-regularity over the 16
     residues: x is in the radical iff 1 - a x is a unit for every a.
     """
-    elts = order.elements()
+    form = _trace_norm_form(order)
+    T = _trace_pairing(form)
     if ell != 2:
-        G = tuple(tuple(int((x * y).trd()) % ell for y in elts) for x in elts)
-        return la.kernel_mod_p(G, ell)
-    A = order.algebra
+        return la.kernel_mod_p(tuple(tuple(x % ell for x in row) for row in T),
+                               ell)
+    # nrd(1 - y x) = 1 - trd(y x) + nrd(y) nrd(x), all from the form
     residues = [tuple(c) for c in product(range(2), repeat=4)]
-    as_elt = {c: _elt(A, la.mat_mul((c,), order.basis)[0]) for c in residues}
-    one = A.one()
+    nrd = {c: _char_poly(form, c)[1] for c in residues}
     rad = []
     for c in residues:
         if not any(c):
             continue
-        x = as_elt[c]
-        if all(int((one - (as_elt[a] * x)).nrd()) % 2 != 0 for a in residues):
+        Tc = [sum(T[i][j] * c[j] for j in range(4)) for i in range(4)]
+        if all((1 - sum(ai * x for ai, x in zip(a, Tc)) + nrd[a] * nrd[c]) % 2
+               for a in residues):
             rad.append(c)
     return rad
 
@@ -236,16 +271,67 @@ def radical_lattice(order: Order, ell: int) -> la.RatMatrix:
     return la.lattice_canonical(_from_order_coords(order, la.imat(rows)))
 
 
-def _legendre(u, p):
-    t = pow(u % p, (p - 1) // 2, p)
-    return 1 if t == 1 else -1
-
-
 def _split_char_roots(t: int, n: int, ell: int):
-    """Distinct roots of T^2 - tT + n mod ell, or None."""
-    roots = [r for r in range(ell) if (r * r - t * r + n) % ell == 0]
-    roots = sorted(set(roots))
-    return tuple(roots) if len(roots) == 2 else None
+    """Distinct roots of T^2 - tT + n mod ell in increasing order, or None.
+
+    Odd ell: they exist iff the discriminant t^2 - 4n is a nonzero square,
+    and are (t +- sqrt)/2.
+    """
+    if ell == 2:
+        roots = tuple(r for r in (0, 1) if (r * r - t * r + n) % 2 == 0)
+        return roots if len(roots) == 2 else None
+    disc = (t * t - 4 * n) % ell
+    if disc == 0 or _legendre(disc, ell) != 1:
+        return None
+    w = sqrt_mod(disc, ell)
+    half = (ell + 1) // 2
+    return tuple(sorted(((t + w) * half % ell, (t - w) * half % ell)))
+
+
+def _lex_split_elements(form, ell: int):
+    """(c, roots) for each nonzero c in [0, ell)^4, lexicographically, whose
+    characteristic polynomial has distinct roots mod ell.
+
+    For odd ell, a block of c sharing a prefix on which the discriminant
+    t(c)^2 - 4 n(c) vanishes identically mod ell holds no such c and is
+    skipped: the discriminant has degree at most 2 < ell in each coordinate,
+    so it vanishes on the block iff its coefficients there do.  (The radical
+    of O/ell O is such a block, often the very first.)
+    """
+    t, q = form
+    D = {(i, j): (t[i] * t[j] * (1 if i == j else 2) - 4 * qij) % ell
+         for (i, j), qij in q.items()}
+
+    def dead(prefix):
+        k = len(prefix)
+        return (not any(D[i, j] for i in range(k, 4) for j in range(i, 4))
+                and not any(sum(D[i, j] * prefix[i] for i in range(k)) % ell
+                            for j in range(k, 4))
+                and sum(D[i, j] * prefix[i] * prefix[j] for i in range(k)
+                        for j in range(i, k)) % ell == 0)
+
+    def walk(prefix):
+        if len(prefix) == 4:
+            roots = _split_char_roots(*_char_poly(form, prefix), ell)
+            if roots is not None and any(prefix):
+                yield prefix, roots
+            return
+        for x in range(ell):
+            c = prefix + (x,)
+            if ell == 2 or len(c) == 4 or not dead(c):
+                yield from walk(c)
+
+    return walk(())
+
+
+def _split_idempotent(order: Order, c, roots, ell: int, k: int):
+    """Order coordinates mod ell^k of an idempotent lifting (x - s)/(r - s)
+    for the split element x with coordinates c and char roots (r, s)."""
+    r, s = roots
+    inv = pow(r - s, -1, ell)
+    e0 = tuple((ci - s * int(oc)) * inv % ell
+               for ci, oc in zip(c, order.coords(order.algebra.one())))
+    return _lift_idempotent(order, e0, ell, k)
 
 
 def _lift_idempotent(order: Order, coords, ell: int, k: int):
@@ -273,19 +359,8 @@ def _hereditary_split(order: Order, ell: int) -> Order:
     A = order.algebra
     elts = order.elements()
     d = reduced_discriminant(order)
-    for c in product(range(ell), repeat=4):
-        if not any(c):
-            continue
-        x = sum((int(ci) * e for ci, e in zip(c, elts)), A.element(0))
-        t, n = int(x.trd()), int(x.nrd())
-        roots = _split_char_roots(t, n, ell)
-        if roots is None:
-            continue
-        r, s = roots
-        inv = pow(r - s, -1, ell ** 4)
-        e0 = tuple((int(ci) - s * int(oc)) * inv % ell
-                   for ci, oc in zip(c, order.coords(A.one())))
-        ec = _lift_idempotent(order, e0, ell, 4)
+    for c, roots in _lex_split_elements(_trace_norm_form(order), ell):
+        ec = _split_idempotent(order, c, roots, ell, 4)
         e = _elt(A, la.mat_mul((ec,), order.basis)[0])
         f = A.one() - e
         for left, right in ((e, f), (f, e)):
@@ -398,24 +473,19 @@ def splitting_data(order: Order, ell: int, k: int = 1,
     rng = random.Random(f"{seed}:{ell}")
     elts = order.elements()
     mod = ell ** k
+    form = _trace_norm_form(order)
 
     roots = None
     for _ in range(400):
         c = tuple(rng.randrange(ell) for _ in range(4))
         if not any(c):
             continue
-        x = sum((ci * e for ci, e in zip(c, elts)), A.element(0))
-        roots = _split_char_roots(int(x.trd()), int(x.nrd()), ell)
+        roots = _split_char_roots(*_char_poly(form, c), ell)
         if roots is not None:
             break
     if roots is None:
         raise InvariantError(f"no split element found mod {ell}")
-    r, s = roots
-    inv = pow(r - s, -1, mod)
-    one_c = order.coords(A.one())
-    e0 = tuple((int(ci) - s * int(oc)) * inv % ell
-               for ci, oc in zip(c, one_c))
-    ec = _lift_idempotent(order, e0, ell, k)
+    ec = _split_idempotent(order, c, roots, ell, k)
     e = _elt(A, la.mat_mul((ec,), order.basis)[0])
 
     # a basis of the column module O*e mod ell^k: e itself plus one g*e
@@ -464,10 +534,10 @@ def splitting_data(order: Order, ell: int, k: int = 1,
     # ring homomorphism and unitality, on the nose
     if data.apply(A.one()) != ((1, 0), (0, 1)):
         raise InvariantError("splitting does not send 1 to the identity")
-    for x in elts:
-        for y in elts:
-            if data.apply(x * y) != _mat2_mul(data.apply(x), data.apply(y),
-                                              mod):
+    # the basis elements map to their own images
+    for x, X in zip(elts, images):
+        for y, Y in zip(elts, images):
+            if data.apply(x * y) != _mat2_mul(X, Y, mod):
                 raise InvariantError("splitting is not multiplicative")
     flat = tuple(tuple(img[r][s] for r in range(2) for s in range(2))
                  for img in images)
@@ -507,6 +577,14 @@ def eichler_level(order: Order) -> int:
 
 # ------------------------------------------------------- left ideals
 
+def _hnf_index(H: la.IntMatrix) -> int:
+    """|det H| for a square HNF basis: the product of its diagonal."""
+    out = 1
+    for i, row in enumerate(H):
+        out *= row[i]
+    return out
+
+
 @dataclass(frozen=True)
 class LeftIdeal:
     """A full lattice I with O*I <= I for the stated order."""
@@ -518,6 +596,21 @@ class LeftIdeal:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "lattice", la.lattice_canonical(rows))
 
+    @classmethod
+    def from_order_coords(cls, order: Order, R: la.IntMatrix) -> "LeftIdeal":
+        """The ideal spanned by the integer rows R over the order basis.
+
+        Its lattice is hnf(R B)/d for (B, d) = clear_denominators(basis),
+        which is lattice_canonical(R * basis) since hnf(kM) = k hnf(M).
+        """
+        B, d = la.clear_denominators(order.basis)
+        H = la.hnf_basis(la.mat_mul(R, B))
+        I = object.__new__(cls)
+        object.__setattr__(I, "order", order)
+        object.__setattr__(I, "lattice", tuple(
+            tuple(Fraction(x, d) for x in row) for row in H))
+        return I
+
     def order_coords(self) -> la.IntMatrix:
         X = la.mat_mul(self.lattice, _basis_inv(self.order))
         if any(t.denominator != 1 for row in X for t in row):
@@ -525,7 +618,7 @@ class LeftIdeal:
         return la.hnf_basis(tuple(tuple(int(t) for t in row) for row in X))
 
     def index_in_order(self) -> int:
-        return la.rat_lattice_index(self.order.basis, self.lattice)
+        return _hnf_index(self.order_coords())
 
     def norm(self) -> int:
         idx = self.index_in_order()
@@ -612,16 +705,15 @@ def left_ideals_of_norm(order: Order, ell: int,
                 if I.is_primitive()]
     th = splitting_data(order, ell, 1, seed)
     out = []
+    ell_rows = la.mat_scale(ell, la.identity(4))
     for v in [(1, x) for x in range(ell)] + [(0, 1)]:
-        R = la.identity(4)
-        for r in range(2):
-            f = tuple((th.images[i][r][0] * v[0]
-                       + th.images[i][r][1] * v[1]) % ell for i in range(4))
-            R = la.congruence_sublattice(R, f, ell)
-        I = LeftIdeal(order, _from_order_coords(order, R))
-        if I.norm() != ell:
+        # ell*O plus the lift of the F_ell-kernel of the two row conditions
+        F = tuple(tuple(th.images[i][r][0] * v[0] + th.images[i][r][1] * v[1]
+                        for i in range(4)) for r in range(2))
+        R = la.hnf_basis(ell_rows + tuple(la.kernel_mod_p(F, ell)))
+        if _hnf_index(R) != ell * ell:
             raise InvariantError("line pullback has the wrong norm")
-        out.append(I)
+        out.append(LeftIdeal.from_order_coords(order, R))
     return out
 
 
@@ -676,8 +768,7 @@ def enumerate_left_ideals(order: Order, n: int) -> List[LeftIdeal]:
                 if not ok:
                     break
             if ok:
-                found.append(LeftIdeal(
-                    order, _from_order_coords(order, la.imat(H))))
+                found.append(LeftIdeal.from_order_coords(order, la.imat(H)))
     return found
 
 

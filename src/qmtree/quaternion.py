@@ -25,8 +25,11 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (the fixed base set is exact far beyond
-    any input this package handles)."""
+    """Miller-Rabin with the twelve prime bases 2..37.
+
+    Proven exact for n below about 3.3e24; above that a composite that is a
+    strong pseudoprime to all twelve bases would be reported prime.
+    """
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -95,6 +98,39 @@ def squarefree_part(r) -> int:
 def _legendre(u: int, p: int) -> int:
     t = pow(u % p, (p - 1) // 2, p)
     return 1 if t == 1 else -1
+
+
+def sqrt_mod(u: int, p: int) -> int:
+    """A square root of the quadratic residue u modulo the odd prime p, by
+    Tonelli-Shanks.
+
+    Every loop is bounded (the non-residue search by p, the order search by
+    the 2-part of p - 1), so a composite p raises InvariantError instead of
+    spinning; so does a u that is not a square.
+    """
+    u %= p
+    if u == 0:
+        return 0
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = next((z for z in range(2, p) if _legendre(z, p) == -1), None)
+    if z is None:
+        raise InvariantError(f"no quadratic non-residue mod {p}")
+    c, t, r = pow(z, q, p), pow(u, q, p), pow(u, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            if i == s - 1:
+                raise InvariantError(f"{u} has no square root mod {p}")
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    if r * r % p != u:
+        raise InvariantError(f"{u} has no square root mod {p}")
+    return r
 
 
 def hilbert_symbol(a, b, place: Place) -> int:

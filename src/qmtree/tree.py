@@ -17,7 +17,8 @@ from typing import List, Tuple
 from . import linalg as la
 from .errors import (InvariantError, PreconditionError, RankError,
                      ValidationError)
-from .orders import LeftIdeal, splitting_data, valuation
+from .orders import (LeftIdeal, SplittingData, _hnf_index, splitting_data,
+                     valuation)
 from .quaternion import is_prime
 
 Mat2i = Tuple[Tuple[int, int], Tuple[int, int]]
@@ -217,16 +218,27 @@ def sphere(center: TreeVertex, radius: int) -> List[TreeVertex]:
 # ---------------------------------------------------------------- ideals
 
 def localize_ideal(I: LeftIdeal, ell: int, seed: int = 0) -> TreeVertex:
-    """The vertex cut out by a left ideal at a split prime.
-
-    The ideal is pushed through a splitting of precision one more than the
-    ell-valuation of its norm; the row span of the images is then exact,
-    since the local lattice contains that ell-power times everything.
-    """
+    """The vertex cut out by a left ideal at a split prime."""
     k = valuation(I.norm(), ell) + 1
-    th = splitting_data(I.order, ell, k, seed)
+    return _localize(I, splitting_data(I.order, ell, k, seed))
+
+
+def _localize(I: LeftIdeal, th: SplittingData) -> TreeVertex:
+    """The vertex of I under a splitting of I's order.
+
+    The precision k must exceed the ell-valuation of the norm: the local
+    lattice then contains ell^k times everything, so the row span of the
+    images mod ell^k plus ell^k Z^2 is exact.  Splittings at different
+    precisions from one seed are lifts of each other, so any such k gives
+    the same vertex.
+    """
+    ell, k = th.ell, th.k
+    H = I.order_coords()
+    # [O : I] = nrd(I)^2
+    if valuation(_hnf_index(H), ell) >= 2 * k:
+        raise PreconditionError("splitting precision too low for this ideal")
     rows = []
-    for h in I.order_coords():
+    for h in H:
         img = th.apply_coords(h)
         rows.append(img[0])
         rows.append(img[1])

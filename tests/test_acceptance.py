@@ -1,4 +1,4 @@
-"""Acceptance gate: eight timed end-to-end checks against independent
+"""Acceptance gate: nine timed end-to-end checks against independent
 oracles.  Each test prints one PASS/FAIL line with its elapsed time and
 budget; run with `pytest -s tests/test_acceptance.py` to see the lines.
 
@@ -380,3 +380,14 @@ def test_descent_scenarios_end_to_end():
             assert verify_minimality(s, N)["ok"] == (
                 report["checks"]["minimality"]), name
             json.loads(json.dumps(report))
+
+
+# ------------------------------------- 9: maximal orders, large split primes
+
+
+def test_maximal_order_at_large_split_primes():
+    with criterion("maximal orders with a split prime above 1000", 5):
+        for a, b in [(-1, 1009), (3, 2003)]:
+            B = QuaternionAlgebra(a, b)
+            O = maximal_order(B)
+            assert reduced_discriminant(O) == B.discriminant(), (a, b)

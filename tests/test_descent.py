@@ -479,3 +479,37 @@ def test_random_valid_scenarios_satisfy_all_checks():
         for ell_str, twist in report["cocycle"].items():
             for p in twist:
                 assert report["N"] * D % p == 0
+
+
+def _moved_swap5(g):
+    """swap5.json with every vertex moved by the tree isometry x -> x g."""
+    obj = json.loads((DATA / "swap5.json").read_text())
+
+    def move(lit):
+        v = bt.parse_vertex(lit)
+        (a, b), (c, d) = v.mat
+        (p, q), (r, t) = g
+        return bt.format_vertex(bt.canonicalize(
+            5, ((a * p + b * r, a * q + b * t), (c * p + d * r, c * q + d * t))))
+
+    comp = obj["local"]["5"]
+    comp["vertices"] = [move(x) for x in comp["vertices"]]
+    comp["action"] = {h: [move(x) for x in xs]
+                      for h, xs in comp["action"].items()}
+    return obj
+
+
+def test_descent_caches_stay_bounded():
+    rng = random.Random(11)
+    bound = dd._CACHE_SIZE
+    keys = set()
+    for _ in range(bound + 100):
+        obj = _moved_swap5(((5 ** 8, 0), (rng.randrange(5 ** 8), 1)))
+        keys.add(json.dumps(obj, sort_keys=True))
+        report = dd.run_descent(dd.scenario_from_json(obj))
+        assert report["N"] == 5 and report["cocycle"] == {"s": [5]}
+    assert len(keys) > bound
+    for cache in (dd._subtree_of, dd._extension):
+        info = cache.cache_info()
+        assert info.maxsize == bound
+        assert info.currsize <= bound

@@ -8,7 +8,7 @@ of frozen discriminants and ideal counts.
 import functools
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
@@ -158,6 +158,105 @@ def test_splitting_data_preconditions():
     od.splitting_data(E, 7)
 
 
+# ------------------------------------------------------- split search
+
+def brute_split_roots(t, n, ell):
+    roots = sorted({r for r in range(ell) if (r * r - t * r + n) % ell == 0})
+    return tuple(roots) if len(roots) == 2 else None
+
+
+def test_split_roots_match_residue_scan():
+    for ell in (2, 3, 5, 7, 11, 13):
+        for t in range(ell):
+            for n in range(ell):
+                assert (od._split_char_roots(t, n, ell)
+                        == brute_split_roots(t, n, ell)), (t, n, ell)
+    rng = random.Random(17)
+    for ell in (17, 97, 1009):
+        for _ in range(300):
+            t, n = rng.randrange(-ell, 2 * ell), rng.randrange(-ell, 2 * ell)
+            assert (od._split_char_roots(t, n, ell)
+                    == brute_split_roots(t, n, ell)), (t, n, ell)
+
+
+def test_trace_norm_form_matches_quaternion_arithmetic():
+    rng = random.Random(3)
+    orders = [max_order(-1, 3), max_order(-2, 5), max_order(1, 1),
+              od.standard_order(alg(Fraction(-1, 2), Fraction(3, 5))),
+              od.eichler_order(max_order(-1, 3), 35)]
+    for O in orders:
+        form = od._trace_norm_form(O)
+        for _ in range(25):
+            c = [rng.randint(-50, 50) for _ in range(4)]
+            x = O.algebra.element(*la.mat_mul((c,), O.basis)[0])
+            assert od._char_poly(form, c) == (int(x.trd()), int(x.nrd()))
+        T = od._trace_pairing(form)
+        E = O.elements()
+        assert T == tuple(tuple(int((x * y).trd()) for y in E) for x in E)
+
+
+def full_scan_split_elements(order, ell, count):
+    """The first split elements of the unpruned lexicographic scan."""
+    A = order.algebra
+    elts = order.elements()
+    out = []
+    for c in product(range(ell), repeat=4):
+        if not any(c):
+            continue
+        x = sum((ci * e for ci, e in zip(c, elts)), A.element(0))
+        roots = brute_split_roots(int(x.trd()), int(x.nrd()), ell)
+        if roots is not None:
+            out.append((c, roots))
+            if len(out) == count:
+                return out
+    return out
+
+
+# algebras split at one odd prime below 30 (some also at 2), plus one split
+# at 83: maximal_order climbs out of a hereditary order at each such prime
+HEREDITARY_CASES = [(7, -13), (-85, 91), (-5, 31), (35, -83), (15, 89),
+                    (5, -46), (-19, -66), (-15, 97), (-34, -65), (-22, -41),
+                    (-23, -38), (-2, 19), (-22, 83)]
+
+
+def test_pruned_split_search_keeps_the_first_split_elements(monkeypatch):
+    seen = []
+    real = od._hereditary_split
+
+    def spy(order, ell):
+        seen.append((order, ell))
+        return real(order, ell)
+
+    monkeypatch.setattr(od, "_hereditary_split", spy)
+    for a, b in HEREDITARY_CASES:
+        before = len(seen)
+        od.maximal_order(alg(a, b))
+        assert len(seen) > before, (a, b)
+    assert len(seen) >= 10
+    for O, ell in seen:
+        want = full_scan_split_elements(O, ell, 3)
+        got = list(islice(od._lex_split_elements(od._trace_norm_form(O), ell),
+                          len(want)))
+        assert got == want, (O, ell)
+
+
+def test_splitting_reduces_to_lower_precision():
+    for O in (max_order(-1, 3), max_order(-2, 5), max_order(1, 1),
+              od.eichler_order(max_order(-1, 3), 5)):
+        D = od.reduced_discriminant(O)
+        for ell in (3, 7, 11, 101):
+            if D % ell == 0:
+                continue
+            for seed in (0, 5):
+                top = od.splitting_data(O, ell, 5, seed)
+                for k in range(1, 5):
+                    m = ell ** k
+                    low = od.splitting_data(O, ell, k, seed)
+                    assert low.images == tuple(
+                        tuple(tuple(x % m for x in row) for row in img)
+                        for img in top.images), (ell, k, seed)
+
+
 # ---------------------------------------------------------------- Eichler
 
 def test_eichler_order_level_five():
@@ -242,6 +341,25 @@ def test_norm_ideal_count_at_level_prime():
     assert len(od.left_ideals_of_norm(E5, 5)) == 2 * 5 + 1
     E3 = od.eichler_order(max_order(-2, 5), 3)
     assert len(od.left_ideals_of_norm(E3, 3)) == 2 * 3 + 1
+
+
+def test_norm_ideal_lattices_match_fraction_products():
+    O = max_order(-2, 5)
+    for ell in (101, 1009):
+        th = od.splitting_data(O, ell, 1)
+        ideals = od.left_ideals_of_norm(O, ell)
+        lines = [(1, x) for x in range(ell)] + [(0, 1)]
+        assert len(ideals) == len(lines)
+        for I, v in zip(ideals, lines):
+            R = la.identity(4)
+            for r in range(2):
+                f = [(th.images[i][r][0] * v[0] + th.images[i][r][1] * v[1])
+                     % ell for i in range(4)]
+                R = la.congruence_sublattice(R, f, ell)
+            want = la.lattice_canonical(la.mat_mul(la.rmat(R), O.basis))
+            assert I.lattice == want, (ell, v)
+            assert I.index_in_order() == la.rat_lattice_index(O.basis,
+                                                              I.lattice)
 
 
 def test_conjugate_product_is_norm_times_order():

@@ -10,9 +10,9 @@ from fractions import Fraction
 
 import pytest
 
-from qmtree.errors import AlgebraError
+from qmtree.errors import AlgebraError, InvariantError
 from qmtree.quaternion import (QuaternionAlgebra, factorize, hilbert_symbol,
-                               is_prime, squarefree_part)
+                               is_prime, sqrt_mod, squarefree_part)
 
 
 # ---------------------------------------------------------------- oracle
@@ -63,6 +63,30 @@ def test_is_prime_larger_samples():
     assert is_prime(10 ** 9 + 7)
     assert is_prime(2 ** 61 - 1)
     assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
+
+
+def test_sqrt_mod_roots_and_non_residues():
+    for p in (3, 5, 7, 13, 17, 97, 101, 1009):
+        squares = {z * z % p for z in range(p)}
+        for u in range(p):
+            if u in squares:
+                r = sqrt_mod(u, p)
+                assert 0 <= r < p and r * r % p == u
+            else:
+                with pytest.raises(InvariantError):
+                    sqrt_mod(u, p)
+    # p - 1 = 2^9 * 15: the Tonelli-Shanks loop runs several rounds
+    assert sqrt_mod(2, 7681) ** 2 % 7681 == 2
+
+
+def test_sqrt_mod_terminates_on_composite_moduli():
+    for m in (9, 15, 21, 25, 45, 91, 561, 1105, 65 * 97):
+        for u in range(min(m, 300)):
+            try:
+                r = sqrt_mod(u, m)
+            except InvariantError:
+                continue
+            assert r * r % m == u % m
 
 
 def test_factorize_roundtrip():
