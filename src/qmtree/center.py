@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Iterable, Tuple
 
 from .errors import PreconditionError
 from .tree import TreeVertex, distance, geodesic
@@ -51,15 +51,6 @@ class Subtree:
     vertices: Tuple[TreeVertex, ...]
     edges: Tuple[Tuple[TreeVertex, TreeVertex], ...]
 
-    def neighbors_in(self, v: TreeVertex) -> List[TreeVertex]:
-        out = []
-        for a, b in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return out
-
 
 def spanned_subtree(vertices: Iterable[TreeVertex]) -> Subtree:
     """Smallest connected subtree containing the set: the union of the
@@ -74,8 +65,3 @@ def spanned_subtree(vertices: Iterable[TreeVertex]) -> Subtree:
         path = [node.setdefault(w, w) for w in geodesic(vs[0], v)]
         edges.update((min(a, b), max(a, b)) for a, b in zip(path, path[1:]))
     return Subtree(tuple(sorted(node)), tuple(sorted(edges)))
-
-
-def eccentricity_table(sub: Subtree) -> Dict[TreeVertex, int]:
-    return {v: max(distance(v, w) for w in sub.vertices)
-            for v in sub.vertices}

@@ -16,8 +16,8 @@ from typing import List, Optional, Tuple
 
 from . import linalg as la
 from .errors import InvariantError, PreconditionError, ResourceError
-from .orders import (LeftIdeal, Order, SplittingData, _hnf_index,
-                     _in_triangular, eichler_level, splitting_data)
+from .orders import (LeftIdeal, Order, SplittingData, eichler_level,
+                     splitting_data)
 from . import tree as bt
 
 Mat2i = Tuple[Tuple[int, int], Tuple[int, int]]
@@ -118,12 +118,13 @@ def build_ideal_tree(order: Order, ell: int, depth: int,
             for L in kept:
                 R = _local_lattice_coords(th, L)
                 J = LeftIdeal.from_order_coords(order, R)
-                if _hnf_index(R) != ell ** (2 * k + 2):
+                if la.hnf_index(R) != ell ** (2 * k + 2):
                     raise InvariantError("child ideal has the wrong norm")
                 if not node.ideal.order.contains_lattice(J.lattice):
                     raise InvariantError("child left the order")
-                if (not all(_in_triangular(row, coords[idx]) for row in R)
-                        or _hnf_index(R) != _hnf_index(coords[idx]) * ell * ell):
+                if (not all(la.lattice_contains(coords[idx], row) for row in R)
+                        or la.hnf_index(R)
+                        != la.hnf_index(coords[idx]) * ell * ell):
                     raise InvariantError("child is not an index-ell^2 step")
                 if la.content(R) != 1:
                     raise InvariantError("child ideal is imprimitive")

@@ -1,7 +1,9 @@
 """Exact integer and rational matrix algebra.
 
 Hermite and Smith normal forms, lattice indices, kernels mod p, and the
-row-lattice utilities the rest of the package is built on.  Matrices are
+row-lattice utilities the rest of the package is built on.  A canonical
+lattice basis is upper triangular, so coordinates, membership and indices
+all come from one forward substitution (triangular_coords).  Matrices are
 immutable tuples of row tuples; integer matrices carry Python ints, rational
 ones fractions.Fraction.  All arithmetic is arbitrary precision and exact.
 
@@ -262,22 +264,6 @@ def snf(M: IntMatrix) -> Tuple[int, ...]:
 
 # ---------------------------------------------------------------- lattices
 
-def lattice_index(L: IntMatrix, M: IntMatrix) -> int:
-    """Index [L : M] of one full-rank row lattice in another.
-
-    Raises PreconditionError if M is not contained in L, RankError if either
-    basis is singular.
-    """
-    X = mat_mul(rmat(M), mat_inv(L))
-    if any(x.denominator != 1 for row in X for x in row):
-        raise PreconditionError("row lattice of M is not contained in L")
-    d = det(X)
-    idx = abs(d)
-    if idx.denominator != 1 or idx == 0:
-        raise RankError("degenerate lattice pair")
-    return int(idx)
-
-
 def kernel_mod_p(M: IntMatrix, p: int) -> List[IntVector]:
     """Basis of {v : M v = 0 over the field with p elements} (column vectors)."""
     m = len(M)
@@ -335,18 +321,66 @@ def lattice_canonical(M) -> RatMatrix:
     return tuple(tuple(Fraction(x, d) for x in row) for row in H)
 
 
-def lattice_contains(L: RatMatrix, v) -> bool:
-    """Whether the row vector v lies in the full-rank row lattice with basis L."""
-    x = mat_mul((tuple(Fraction(t) for t in v),), mat_inv(L))
-    return all(c.denominator == 1 for c in x[0])
+def triangular_coords(L, v):
+    """The coordinates x of the row vector v over the basis L (x L = v).
+
+    L is upper triangular with a nonzero diagonal, as every canonical basis
+    (an HNF, possibly scaled) is.  Forward substitution yields x_0, x_1, ...
+    one at a time, so a membership test can stop at the first non-integral
+    coordinate.  Integer input stays integer while the divisions are exact.
+    """
+    x = []
+    for j, row in enumerate(L):
+        p = row[j]
+        if p == 0 or any(row[:j]):
+            raise PreconditionError("basis is not upper triangular")
+        s = v[j]
+        for i in range(j):
+            c = L[i][j]
+            if c:
+                s -= x[i] * c
+        if type(s) is not int:
+            s = s / p
+        elif s % p == 0:
+            s //= p
+        else:
+            s = Fraction(s, p)
+        x.append(s)
+        yield s
 
 
-def rat_lattice_index(L, M) -> int:
-    """[L : M] for rational full-rank row lattices with M contained in L."""
-    X = mat_mul(rmat(M), mat_inv(rmat(L)))
-    if any(x.denominator != 1 for row in X for x in row):
-        raise PreconditionError("not a sublattice")
-    return int(abs(det(X)))
+def lattice_contains(L, v) -> bool:
+    """Whether the row vector v lies in the lattice with triangular basis L."""
+    for c in triangular_coords(L, v):
+        if c.denominator != 1:
+            return False
+    return True
+
+
+def hnf_index(H) -> int:
+    """|det H| of a triangular basis with positive diagonal: the product of
+    the diagonal, which for an integer HNF basis is its index in Z^n."""
+    out = 1
+    for i, row in enumerate(H):
+        out *= row[i]
+    return out
+
+
+def lattice_index(L, M) -> int:
+    """Index [L : M] of one full-rank row lattice in another.
+
+    L and M are any bases, integer or rational; both are canonicalized.
+    Raises PreconditionError if M is not contained in L, RankError if either
+    basis is singular.
+    """
+    L, M = lattice_canonical(L), lattice_canonical(M)
+    if not all(lattice_contains(L, row) for row in M):
+        raise PreconditionError("row lattice of M is not contained in L")
+    return int(hnf_index(M) / hnf_index(L))
+
+
+# the former name for rational bases, still wrapped by perfbench/spans.py
+rat_lattice_index = lattice_index
 
 
 def integrality_lattice(A: RatMatrix) -> RatMatrix:

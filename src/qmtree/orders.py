@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd, isqrt
+from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
 from . import linalg as la
@@ -68,14 +69,10 @@ class Order:
 
     def coords(self, x: QuatElement):
         """Coordinates of x over the order basis (Fractions)."""
-        return la.mat_mul((x.coeffs,), _basis_inv(self))[0]
-
-    def contains(self, x: QuatElement) -> bool:
-        return all(c.denominator == 1 for c in self.coords(x))
+        return tuple(la.triangular_coords(self.basis, x.coeffs))
 
     def contains_lattice(self, rows) -> bool:
-        X = la.mat_mul(la.rmat(rows), _basis_inv(self))
-        return all(c.denominator == 1 for row in X for c in row)
+        return all(la.lattice_contains(self.basis, r) for r in rows)
 
     def validate(self) -> None:
         bad = order_diagnostics(self.algebra, self.basis)
@@ -86,11 +83,6 @@ class Order:
         return f"Order({self.algebra!r}, disc={reduced_discriminant(self)})"
 
 
-@lru_cache(maxsize=None)
-def _basis_inv(order: Order) -> la.RatMatrix:
-    return la.mat_inv(order.basis)
-
-
 def order_diagnostics(A: QuaternionAlgebra, rows) -> List[str]:
     """Reasons rows fail to span an order (empty list means none)."""
     out = []
@@ -98,29 +90,17 @@ def order_diagnostics(A: QuaternionAlgebra, rows) -> List[str]:
         B = la.lattice_canonical(rows)
     except Exception:
         return ["basis is not full rank"]
-    inv = la.mat_inv(B)
     elts = [_elt(A, r) for r in B]
-    one = la.mat_mul(((Fraction(1), Fraction(0), Fraction(0), Fraction(0)),),
-                     inv)[0]
-    if not all(c.denominator == 1 for c in one):
+    if not la.lattice_contains(B, (1, 0, 0, 0)):
         out.append("1 is not in the lattice")
-    closed = True
-    for x in elts:
-        for y in elts:
-            c = la.mat_mul(((x * y).coeffs,), inv)[0]
-            if not all(t.denominator == 1 for t in c):
-                closed = False
-    if not closed:
+    if not all(la.lattice_contains(B, (x * y).coeffs)
+               for x in elts for y in elts):
         out.append("not closed under multiplication")
     for x in elts:
         if x.trd().denominator != 1 or x.nrd().denominator != 1:
             out.append("basis element with non-integral trace or norm")
             break
     return out
-
-
-def is_order(A: QuaternionAlgebra, rows) -> bool:
-    return not order_diagnostics(A, rows)
 
 
 def standard_order(A: QuaternionAlgebra) -> Order:
@@ -133,21 +113,16 @@ def standard_order(A: QuaternionAlgebra) -> Order:
     return O
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def reduced_discriminant(order: Order) -> int:
     """Positive d with d^2 = |det trd(e_i e_j)|; InvariantError otherwise."""
-    elts = order.elements()
-    G = tuple(tuple((x * y).trd() for y in elts) for x in elts)
-    d2 = abs(la.det(G))
-    if d2.denominator != 1:
-        raise InvariantError("non-integral trace pairing")
-    r = isqrt(int(d2))
-    if r * r != int(d2):
+    d2 = int(abs(la.det(_trace_pairing(_trace_norm_form(order)))))
+    r = isqrt(d2)
+    if r * r != d2:
         raise InvariantError(f"trace pairing determinant {d2} is not a square")
     return r
 
 
-@lru_cache(maxsize=None)
 def structure_matrices(order: Order) -> Tuple[la.IntMatrix, ...]:
     """M_t with row j = order-coordinates of e_t * e_j (integral by closure)."""
     elts = order.elements()
@@ -177,28 +152,14 @@ def _stack_blocks(blocks) -> la.RatMatrix:
 def lattice_left_order(A: QuaternionAlgebra, rows) -> Order:
     """{x : x L <= L} for the full lattice L spanned by rows."""
     L = la.lattice_canonical(rows)
-    Linv = la.mat_inv(L)
     amb = [A.element(1), A.element(0, 1), A.element(0, 0, 1),
            A.element(0, 0, 0, 1)]
     blocks = []
     for g_row in L:
         g = _elt(A, g_row)
-        Mg = tuple((e * g).coeffs for e in amb)  # row r = coords of e_r * g
-        blocks.append(la.mat_mul(Mg, Linv))
-    return Order(A, la.integrality_lattice(_stack_blocks(blocks)))
-
-
-def lattice_right_order(A: QuaternionAlgebra, rows) -> Order:
-    """{x : L x <= L}."""
-    L = la.lattice_canonical(rows)
-    Linv = la.mat_inv(L)
-    amb = [A.element(1), A.element(0, 1), A.element(0, 0, 1),
-           A.element(0, 0, 0, 1)]
-    blocks = []
-    for g_row in L:
-        g = _elt(A, g_row)
-        Ng = tuple((g * e).coeffs for e in amb)
-        blocks.append(la.mat_mul(Ng, Linv))
+        # row r = coordinates over L of e_r * g
+        blocks.append(tuple(tuple(la.triangular_coords(L, (e * g).coeffs))
+                            for e in amb))
     return Order(A, la.integrality_lattice(_stack_blocks(blocks)))
 
 
@@ -212,14 +173,20 @@ def _trace_norm_form(order: Order):
     = nrd(e_i + e_j) - nrd(e_i) - nrd(e_j).
     """
     elts = order.elements()
-    t = tuple(int(x.trd()) for x in elts)
-    n = [int(x.nrd()) for x in elts]
+    t = tuple(_integral(x.trd()) for x in elts)
+    n = [_integral(x.nrd()) for x in elts]
     q = {}
     for i in range(4):
         q[i, i] = n[i]
         for j in range(i + 1, 4):
-            q[i, j] = int((elts[i] + elts[j]).nrd()) - n[i] - n[j]
+            q[i, j] = _integral((elts[i] + elts[j]).nrd()) - n[i] - n[j]
     return t, q
+
+
+def _integral(x) -> int:
+    if x.denominator != 1:
+        raise InvariantError("non-integral trace pairing")
+    return int(x)
 
 
 def _char_poly(form, c) -> Tuple[int, int]:
@@ -577,14 +544,6 @@ def eichler_level(order: Order) -> int:
 
 # ------------------------------------------------------- left ideals
 
-def _hnf_index(H: la.IntMatrix) -> int:
-    """|det H| for a square HNF basis: the product of its diagonal."""
-    out = 1
-    for i, row in enumerate(H):
-        out *= row[i]
-    return out
-
-
 @dataclass(frozen=True)
 class LeftIdeal:
     """A full lattice I with O*I <= I for the stated order."""
@@ -612,13 +571,14 @@ class LeftIdeal:
         return I
 
     def order_coords(self) -> la.IntMatrix:
-        X = la.mat_mul(self.lattice, _basis_inv(self.order))
+        X = tuple(tuple(la.triangular_coords(self.order.basis, r))
+                  for r in self.lattice)
         if any(t.denominator != 1 for row in X for t in row):
             raise InvariantError("ideal is not inside its order")
         return la.hnf_basis(tuple(tuple(int(t) for t in row) for row in X))
 
     def index_in_order(self) -> int:
-        return _hnf_index(self.order_coords())
+        return la.hnf_index(self.order_coords())
 
     def norm(self) -> int:
         idx = self.index_in_order()
@@ -641,7 +601,9 @@ class LeftIdeal:
         return True
 
     def right_order(self) -> Order:
-        return lattice_right_order(self.order.algebra, self.lattice)
+        """{x : I x <= I}, which is O_left(conj I): conjugation reverses
+        products and fixes every order."""
+        return lattice_left_order(self.order.algebra, self.conjugate_lattice())
 
     def conjugate_lattice(self) -> la.RatMatrix:
         rows = tuple(_elt(self.order.algebra, r).conjugate().coeffs
@@ -711,21 +673,10 @@ def left_ideals_of_norm(order: Order, ell: int,
         F = tuple(tuple(th.images[i][r][0] * v[0] + th.images[i][r][1] * v[1]
                         for i in range(4)) for r in range(2))
         R = la.hnf_basis(ell_rows + tuple(la.kernel_mod_p(F, ell)))
-        if _hnf_index(R) != ell * ell:
+        if la.hnf_index(R) != ell * ell:
             raise InvariantError("line pullback has the wrong norm")
         out.append(LeftIdeal.from_order_coords(order, R))
     return out
-
-
-def _in_triangular(v, H) -> bool:
-    v = list(v)
-    for idx in range(len(H)):
-        q, r = divmod(v[idx], H[idx][idx])
-        if r:
-            return False
-        if q:
-            v = [a - q * b for a, b in zip(v, H[idx])]
-    return not any(v)
 
 
 def _divisors(n: int) -> List[int]:
@@ -742,7 +693,8 @@ def enumerate_left_ideals(order: Order, n: int) -> List[LeftIdeal]:
         raise PreconditionError("norm must be positive")
     if n > 13:
         raise ResourceError(f"norm {n} exceeds the enumeration guard (13)")
-    mats = structure_matrices(order)
+    # columns of each M_t, so a row's image is one dot product per column
+    cols = [tuple(zip(*Mt)) for Mt in structure_matrices(order)]
     divs = _divisors(n)
     target = n * n
     found = []
@@ -757,17 +709,8 @@ def enumerate_left_ideals(order: Order, n: int) -> List[LeftIdeal]:
                 H[t][t] = diag[t]
             for (i, j), x in zip(free_pos, vals):
                 H[i][j] = x
-            ok = True
-            for Mt in mats:
-                for row in H:
-                    img = [sum(row[j] * Mt[j][s] for j in range(4))
-                           for s in range(4)]
-                    if not _in_triangular(img, H):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
+            if all(la.lattice_contains(H, [sum(map(mul, row, c)) for c in C])
+                   for C in cols for row in H):
                 found.append(LeftIdeal.from_order_coords(order, la.imat(H)))
     return found
 

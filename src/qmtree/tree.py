@@ -17,8 +17,7 @@ from typing import List, Tuple
 from . import linalg as la
 from .errors import (InvariantError, PreconditionError, RankError,
                      ValidationError)
-from .orders import (LeftIdeal, SplittingData, _hnf_index, splitting_data,
-                     valuation)
+from .orders import LeftIdeal, SplittingData, splitting_data, valuation
 from .quaternion import is_prime
 
 Mat2i = Tuple[Tuple[int, int], Tuple[int, int]]
@@ -35,7 +34,8 @@ class TreeVertex:
         return (self.mat[0][0], self.mat[0][1], self.mat[1][1])
 
     def __lt__(self, other: "TreeVertex"):
-        return self.key() < other.key()
+        # ((a, b), (0, d)) orders exactly as key() = (a, b, d)
+        return self.mat < other.mat
 
     def __repr__(self):
         return format_vertex(self)
@@ -235,7 +235,7 @@ def _localize(I: LeftIdeal, th: SplittingData) -> TreeVertex:
     ell, k = th.ell, th.k
     H = I.order_coords()
     # [O : I] = nrd(I)^2
-    if valuation(_hnf_index(H), ell) >= 2 * k:
+    if valuation(la.hnf_index(H), ell) >= 2 * k:
         raise PreconditionError("splitting precision too low for this ideal")
     rows = []
     for h in H:

@@ -225,6 +225,14 @@ def test_lattice_index_rejects_non_sublattice():
         la.lattice_index(la.imat([[2, 0], [0, 2]]), la.identity(2))
 
 
+def test_lattice_index_rejects_singular_bases():
+    singular = la.rmat([[1, 2], [Fraction(1, 2), 1]])
+    with pytest.raises(RankError):
+        la.lattice_index(la.identity(2), singular)
+    with pytest.raises(RankError):
+        la.lattice_index(singular, la.identity(2))
+
+
 # ---------------------------------------------------------------- kernels
 
 def test_kernel_mod_p_matches_enumeration():
@@ -275,6 +283,12 @@ def test_lattice_contains_basic():
     L = la.rmat([[Fraction(1, 2), 0], [0, 1]])
     assert la.lattice_contains(L, (Fraction(3, 2), 4))
     assert not la.lattice_contains(L, (Fraction(1, 3), 0))
+
+
+def test_triangular_coords_reject_non_triangular_basis():
+    for L in (la.imat([[1, 0], [1, 1]]), la.imat([[1, 1], [0, 0]])):
+        with pytest.raises(PreconditionError):
+            tuple(la.triangular_coords(L, (1, 1)))
 
 
 def test_integrality_lattice_exact_dual_description():

@@ -28,13 +28,17 @@ def max_order(a, b):
     return od.maximal_order(alg(a, b))
 
 
+def is_order(A, rows):
+    return not od.order_diagnostics(A, rows)
+
+
 # ---------------------------------------------------------------- orders
 
 def test_standard_order_is_order_with_expected_disc():
     O = od.standard_order(alg(-1, -1))
     assert od.reduced_discriminant(O) == 4
     O2 = od.standard_order(alg(Fraction(-1, 2), Fraction(3, 5)))
-    assert od.is_order(O2.algebra, O2.basis)
+    assert is_order(O2.algebra, O2.basis)
 
 
 def test_order_diagnostics_flag_failures():
@@ -193,6 +197,17 @@ def test_trace_norm_form_matches_quaternion_arithmetic():
         T = od._trace_pairing(form)
         E = O.elements()
         assert T == tuple(tuple(int((x * y).trd()) for y in E) for x in E)
+
+
+def test_trace_norm_form_rejects_non_integral_norm():
+    # e_1 = (1 + i)/2 has trace 1 but norm 1/2
+    O = od.Order(alg(-1, -1), la.rmat([[Fraction(1, 2), Fraction(1, 2), 0, 0],
+                                       [0, 1, 0, 0], [0, 0, 1, 0],
+                                       [0, 0, 0, 1]]))
+    with pytest.raises(InvariantError, match="non-integral trace pairing"):
+        od._trace_norm_form(O)
+    with pytest.raises(InvariantError, match="non-integral trace pairing"):
+        od.reduced_discriminant(O)
 
 
 def full_scan_split_elements(order, ell, count):
@@ -360,6 +375,37 @@ def test_norm_ideal_lattices_match_fraction_products():
             assert I.lattice == want, (ell, v)
             assert I.index_in_order() == la.rat_lattice_index(O.basis,
                                                               I.lattice)
+
+
+def explicit_right_order(A, rows):
+    """{x : L x <= L} from the definition: g x = sum_r x_r g e_r must have
+    integral coordinates over L for every basis vector g of L."""
+    L = la.lattice_canonical(rows)
+    Linv = la.mat_inv(L)
+    amb = [A.element(1), A.element(0, 1), A.element(0, 0, 1),
+           A.element(0, 0, 0, 1)]
+    blocks = []
+    for g_row in L:
+        g = A.element(*g_row)
+        Ng = tuple((g * e).coeffs for e in amb)
+        blocks.append(la.mat_mul(Ng, Linv))
+    stacked = tuple(tuple(x for blk in blocks for x in blk[r])
+                    for r in range(4))
+    return od.Order(A, la.integrality_lattice(stacked))
+
+
+def test_right_order_by_conjugation_matches_the_definition():
+    ideals = []
+    for a, b in [(-1, 3), (-2, 5), (-1, -1)]:
+        O = max_order(a, b)
+        for ell in (5, 7):
+            ideals += od.left_ideals_of_norm(O, ell)
+    E = od.eichler_order(max_order(-1, 3), 5)
+    ideals += od.left_ideals_of_norm(E, 7) + od.left_ideals_of_norm(E, 5)
+    ideals.append(od.two_sided_prime(max_order(-2, 5), 5))
+    for I in ideals:
+        assert I.right_order() == explicit_right_order(I.order.algebra,
+                                                        I.lattice)
 
 
 def test_conjugate_product_is_norm_times_order():
