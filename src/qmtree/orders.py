@@ -80,7 +80,9 @@ class Order:
             raise InvariantError("not an order: " + "; ".join(bad))
 
     def __repr__(self):
-        return f"Order({self.algebra!r}, disc={reduced_discriminant(self)})"
+        # no computation: the lattice need not be an order
+        rows = ", ".join("[" + ", ".join(map(str, r)) + "]" for r in self.basis)
+        return f"Order({self.algebra!r}, [{rows}])"
 
 
 def order_diagnostics(A: QuaternionAlgebra, rows) -> List[str]:

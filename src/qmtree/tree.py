@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
+from operator import attrgetter
 from typing import List, Tuple
 
 from . import linalg as la
@@ -41,6 +43,9 @@ class TreeVertex:
         return format_vertex(self)
 
 
+_MAT = attrgetter("mat")
+
+
 def format_vertex(v: TreeVertex) -> str:
     (a, b), (_, d) = v.mat
     return f"{v.ell}:[[{a},{b}],[0,{d}]]"
@@ -55,7 +60,10 @@ def parse_vertex(s: str) -> TreeVertex:
     if not m:
         raise ValidationError(f"bad vertex literal {s!r}")
     ell, a, b, d = (int(t) for t in m.groups())
-    v = canonicalize(ell, ((a, b), (0, d)))
+    try:
+        v = canonicalize(ell, ((a, b), (0, d)))
+    except (PreconditionError, RankError) as exc:
+        raise ValidationError(f"bad vertex literal {s!r}: {exc}") from None
     if v.mat != ((a, b), (0, d)):
         raise ValidationError(f"vertex literal {s!r} is not in canonical form")
     return v
@@ -88,8 +96,7 @@ def canonicalize(ell: int, rows) -> TreeVertex:
     saturating with a large ell-power multiple of the standard lattice,
     which does not move the class at ell.
     """
-    if not is_prime(ell):
-        raise PreconditionError(f"{ell} is not a prime")
+    _check_prime(ell)
     try:
         (w, x), (y, z) = rows
     except (TypeError, ValueError):
@@ -100,7 +107,25 @@ def canonicalize(ell: int, rows) -> TreeVertex:
     if dt == 0:
         raise RankError("lattice matrix is singular")
     m = ell ** (valuation(dt, ell) + 1)
-    (a, b), (_, d) = _hnf2_rows(((w, x), (y, z), (m, 0), (0, m)))
+    return _reduce(ell, _hnf2_rows(((w, x), (y, z), (m, 0), (0, m))))
+
+
+@lru_cache(maxsize=64)
+def _check_prime(ell: int) -> None:
+    # cached, so each prime pays for its Miller-Rabin test once
+    if not is_prime(ell):
+        raise PreconditionError(f"{ell} is not a prime")
+
+
+def _reduce(ell: int, H: Mat2i) -> TreeVertex:
+    """The vertex of rowspan(H), for a row HNF H = ((a, b), (0, d)) whose
+    a and d are powers of ell.
+
+    Such a lattice already contains a*d*Z^2, so saturating it with an
+    ell-power multiple of Z^2, as canonicalize does, leaves H as it is;
+    what remains is to divide out ell while it divides every entry.
+    """
+    (a, b), (_, d) = H
     while a % ell == 0 and b % ell == 0 and d % ell == 0:
         a //= ell
         b //= ell
@@ -111,10 +136,12 @@ def canonicalize(ell: int, rows) -> TreeVertex:
 
 
 def _check_canonical(v: TreeVertex) -> None:
+    ell = v.ell
     (a, b), (z, d) = v.mat
+    # for a, d >= 1 both are ell-powers exactly when a*d is
     ok = (z == 0 and a >= 1 and d >= 1 and 0 <= b < d
-          and _is_ell_power(a, v.ell) and _is_ell_power(d, v.ell)
-          and (a % v.ell or b % v.ell or d % v.ell))
+          and _is_ell_power(a * d, ell)
+          and (a % ell or b % ell or d % ell))
     if not ok:
         raise InvariantError(f"non-canonical vertex matrix {v.mat}")
 
@@ -144,10 +171,11 @@ def index_ell_sublattices(L: Mat2i, ell: int) -> List[Mat2i]:
 def neighbors(v: TreeVertex) -> Tuple[TreeVertex, ...]:
     """The ell+1 classes of index-ell sublattices, in key order."""
     ell = v.ell
-    out = {canonicalize(ell, L) for L in index_ell_sublattices(v.mat, ell)}
+    _check_prime(ell)
+    out = {_reduce(ell, L) for L in index_ell_sublattices(v.mat, ell)}
     if len(out) != ell + 1:
         raise InvariantError("neighbor classes collided")
-    return tuple(sorted(out))
+    return tuple(sorted(out, key=_MAT))
 
 
 def distance(u: TreeVertex, v: TreeVertex) -> int:
@@ -173,10 +201,11 @@ def geodesic(u: TreeVertex, v: TreeVertex) -> Tuple[TreeVertex, ...]:
     u/M is cyclic of order ell^d at ell and the path is [M + ell^i u] for
     i = 0..d (Serre, Trees, II.1).
     """
+    ell = u.ell
+    _check_prime(ell)
     d = distance(u, v)
     if d == 0:
         return (u,)
-    ell = u.ell
     (ua, ub), (_, ud) = u.mat
     (va, vb), (_, vd) = v.mat
     # ell-part of the content of v.mat times the adjugate of u.mat
@@ -185,8 +214,10 @@ def geodesic(u: TreeVertex, v: TreeVertex) -> Tuple[TreeVertex, ...]:
     M = tuple(tuple(s * x for x in row) for row in v.mat)
     path = [u]
     for i in range(1, d + 1):
+        # M + ell^i u contains ell^i*ua*ud*Z^2: its HNF has an ell-power
+        # diagonal
         p = ell ** i
-        path.append(canonicalize(ell, _hnf2_rows(
+        path.append(_reduce(ell, _hnf2_rows(
             M + ((p * ua, p * ub), (0, p * ud)))))
     if path[-1] != v:
         raise InvariantError("geodesic does not end at its target")
@@ -205,7 +236,7 @@ def ball(center: TreeVertex, radius: int) -> List[TreeVertex]:
                 if u not in seen:
                     seen.add(u)
                     nxt.append(u)
-        nxt.sort()
+        nxt.sort(key=_MAT)
         out.extend(nxt)
         frontier = nxt
     return out
@@ -219,6 +250,7 @@ def sphere(center: TreeVertex, radius: int) -> List[TreeVertex]:
 
 def localize_ideal(I: LeftIdeal, ell: int, seed: int = 0) -> TreeVertex:
     """The vertex cut out by a left ideal at a split prime."""
+    _check_prime(ell)
     k = valuation(I.norm(), ell) + 1
     return _localize(I, splitting_data(I.order, ell, k, seed))
 
@@ -233,6 +265,7 @@ def _localize(I: LeftIdeal, th: SplittingData) -> TreeVertex:
     the same vertex.
     """
     ell, k = th.ell, th.k
+    _check_prime(ell)
     H = I.order_coords()
     # [O : I] = nrd(I)^2
     if valuation(la.hnf_index(H), ell) >= 2 * k:
@@ -245,4 +278,5 @@ def _localize(I: LeftIdeal, th: SplittingData) -> TreeVertex:
     m = ell ** k
     rows.append((m, 0))
     rows.append((0, m))
-    return canonicalize(ell, _hnf2_rows(rows))
+    # the rows contain ell^k*Z^2, so the HNF has an ell-power diagonal
+    return _reduce(ell, _hnf2_rows(rows))

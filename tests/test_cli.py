@@ -218,6 +218,15 @@ def test_bt_bad_vertex(capsys):
     assert code == 2
 
 
+BAD_PRIME_OR_SINGULAR = ["6:[[1,0],[0,1]]", "2:[[0,0],[0,1]]"]
+
+
+@pytest.mark.parametrize("lit", BAD_PRIME_OR_SINGULAR)
+def test_bt_vertex_with_bad_prime_or_singular_matrix(capsys, lit):
+    code, _ = run(capsys, "bt", "neighbors", "--v", lit)
+    assert code == 2
+
+
 def test_bt_center_file_formats(capsys, tmp_path):
     lines = tmp_path / "verts.txt"
     lines.write_text("2:[[1,0],[0,1]]\n2:[[1,0],[0,4]]\n", encoding="utf-8")
@@ -319,6 +328,19 @@ def test_descent_run_invalid_scenario(capsys, tmp_path):
     }), encoding="utf-8")
     code, _ = run(capsys, "descent", "run", str(bad))
     assert code == 2
+
+
+@pytest.mark.parametrize("lit", BAD_PRIME_OR_SINGULAR)
+def test_descent_run_vertex_with_bad_prime_or_singular_matrix(capsys, tmp_path,
+                                                             lit):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "D": 1,
+        "generators": [],
+        "local": {"2": {"vertices": [lit], "action": {}}},
+    }), encoding="utf-8")
+    assert main(["descent", "run", str(bad)]) == 2
+    assert "bad literal" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- misc

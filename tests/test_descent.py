@@ -364,6 +364,10 @@ BAD_SCENARIOS = [
       "ramified": {"2": {"s": "swap"}, "3": {"s": "fix"}}},
      "\"flip\" or \"fix\""),
     ({"D": 1, "generators": [], "relationsChecked": "yes"}, "boolean"),
+    ({"D": 1, "generators": [],
+      "local": {"5": {"vertices": ["6:[[1,0],[0,1]]"]}}}, "bad literal"),
+    ({"D": 1, "generators": [],
+      "local": {"5": {"vertices": ["5:[[0,0],[0,1]]"]}}}, "bad literal"),
 ]
 
 

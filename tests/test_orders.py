@@ -210,6 +210,15 @@ def test_trace_norm_form_rejects_non_integral_norm():
         od.reduced_discriminant(O)
 
 
+def test_order_repr_computes_nothing():
+    # the lattice of the test above is not an order; its repr still works
+    O = od.Order(alg(-1, -1), la.rmat([[Fraction(1, 2), Fraction(1, 2), 0, 0],
+                                       [0, 1, 0, 0], [0, 0, 1, 0],
+                                       [0, 0, 0, 1]]))
+    assert repr(O) == ("Order(QuaternionAlgebra(-1, -1), [[1/2, 1/2, 0, 0], "
+                       "[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])")
+
+
 def full_scan_split_elements(order, ell, count):
     """The first split elements of the unpruned lexicographic scan."""
     A = order.algebra

@@ -100,6 +100,23 @@ def test_canonicalize_rejects_singular_and_nonprime():
             bt.canonicalize(ell, rows)
 
 
+def test_prime_guard_on_hand_built_vertices():
+    # the tree paths that skip canonicalize keep its prime check
+    v = bt.TreeVertex(6, ((1, 0), (0, 1)))
+    w = bt.TreeVertex(6, ((1, 0), (0, 6)))
+    with pytest.raises(PreconditionError):
+        bt.neighbors(v)
+    with pytest.raises(PreconditionError):
+        bt.geodesic(v, w)
+    with pytest.raises(PreconditionError):
+        bt.geodesic(v, v)
+    I = od.left_ideals_of_norm(max_order(-1, 3), 5)[0]
+    with pytest.raises(PreconditionError):
+        bt.localize_ideal(I, 6)
+    # the cache behind the check is bounded
+    assert bt._check_prime.cache_info().maxsize is not None
+
+
 def test_vertex_text_roundtrip():
     for ell in (2, 3, 5):
         for v in bt.ball(bt.root(ell), 2):
@@ -110,6 +127,10 @@ def test_vertex_text_roundtrip():
         bt.parse_vertex("2:[[2,0],[0,2]]")  # not primitive
     with pytest.raises(ValidationError):
         bt.parse_vertex("2:[[1,1],[0,1]]")  # b not reduced mod d
+    with pytest.raises(ValidationError):
+        bt.parse_vertex("6:[[1,0],[0,1]]")  # not a prime
+    with pytest.raises(ValidationError):
+        bt.parse_vertex("2:[[0,0],[0,1]]")  # singular
 
 
 # ---------------------------------------------------------------- structure

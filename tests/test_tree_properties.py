@@ -1,0 +1,91 @@
+"""Property tests for the lattice-class tree: closed-form neighbors against
+canonicalizing every index-ell sublattice, canonical forms under changes of
+basis and scaling, and the path laws of geodesic and distance."""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from qmtree import linalg as la
+from qmtree import tree as bt
+
+PRIMES = [2, 3, 5, 7, 101, 1009]
+
+
+@st.composite
+def vertex_at(draw, ell):
+    """A canonical vertex ((ell^i, b), (0, ell^j)), 0 <= b < ell^j, primitive."""
+    a = ell ** draw(st.integers(0, 3))
+    d = ell ** draw(st.integers(0, 3))
+    b = draw(st.integers(0, d - 1))
+    assume(a % ell or b % ell or d % ell)
+    return bt.TreeVertex(ell, ((a, b), (0, d)))
+
+
+@st.composite
+def vertex(draw):
+    return draw(vertex_at(draw(st.sampled_from(PRIMES))))
+
+
+@st.composite
+def vertex_pair(draw):
+    ell = draw(st.sampled_from(PRIMES))
+    return draw(vertex_at(ell)), draw(vertex_at(ell))
+
+
+def nonsingular():
+    entry = st.integers(-30, 30)
+    return st.tuples(st.tuples(entry, entry), st.tuples(entry, entry)).filter(
+        lambda M: la.det(M) != 0)
+
+
+@st.composite
+def unimodular(draw):
+    """A product of elementary row operations, as a 2x2 matrix."""
+    U = ((1, 0), (0, 1))
+    for kind, k in draw(st.lists(st.tuples(st.integers(0, 3),
+                                           st.integers(-5, 5)), max_size=6)):
+        E = (((1, k), (0, 1)), ((1, 0), (k, 1)), ((0, 1), (1, 0)),
+             ((-1, 0), (0, 1)))[kind]
+        U = la.mat_mul(E, U)
+    return U
+
+
+@settings(max_examples=120, deadline=None)
+@given(vertex())
+def test_neighbors_match_canonicalized_sublattices(v):
+    ell = v.ell
+    want = tuple(sorted({bt.canonicalize(ell, L)
+                         for L in bt.index_ell_sublattices(v.mat, ell)}))
+    assert bt.neighbors(v) == want
+    assert bt.canonicalize(ell, v.mat) == v
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(PRIMES), nonsingular(), unimodular(),
+       st.integers(-60, 60).filter(bool), st.integers(1, 60))
+def test_canonicalize_is_invariant_under_basis_change_and_scaling(
+        ell, M, U, p, q):
+    v = bt.canonicalize(ell, M)
+    assert bt.canonicalize(ell, la.mat_mul(U, M)) == v
+    s = Fraction(p, q)
+    assert bt.canonicalize(ell, tuple(tuple(s * x for x in row)
+                                      for row in M)) == v
+    assert bt.canonicalize(ell, tuple(tuple(ell * x for x in row)
+                                      for row in M)) == v
+
+
+@settings(max_examples=300, deadline=None)
+@given(vertex_pair())
+def test_geodesic_laws(pair):
+    u, v = pair
+    g = bt.geodesic(u, v)
+    assert g[0] == u and g[-1] == v
+    assert len(g) - 1 == bt.distance(u, v)
+    for a, b in zip(g, g[1:]):
+        assert bt.distance(a, b) == 1
+    assert bt.geodesic(v, u) == g[::-1]
