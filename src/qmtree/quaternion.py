@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .errors import AlgebraError, InvariantError
+from .errors import AlgebraError, InvariantError, ResourceError
 
 # place tokens: a prime for a finite place, None for the real place
 Place = Optional[int]
@@ -22,6 +22,8 @@ Place = Optional[int]
 # ---------------------------------------------------------------- primes
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# trial divisors stop here; a cofactor left beyond it must test prime
+_TRIAL_LIMIT = 10 ** 6
 
 
 def is_prime(n: int) -> bool:
@@ -54,7 +56,11 @@ def is_prime(n: int) -> bool:
 
 
 def factorize(n: int) -> List[Tuple[int, int]]:
-    """Sorted (prime, exponent) pairs of |n|, n != 0."""
+    """Sorted (prime, exponent) pairs of |n|, n != 0.
+
+    Trial division up to _TRIAL_LIMIT; a larger cofactor that is not
+    prime raises ResourceError.
+    """
     if n == 0:
         raise AlgebraError("cannot factor 0")
     n = abs(n)
@@ -68,6 +74,12 @@ def factorize(n: int) -> List[Tuple[int, int]]:
             out.append((p, e))
     f = 5
     while f * f <= n:
+        if f > _TRIAL_LIMIT:
+            if not is_prime(n):
+                raise ResourceError(
+                    f"cannot factor a {n.bit_length()}-bit cofactor "
+                    f"without a prime factor below {_TRIAL_LIMIT}")
+            break
         for p in (f, f + 2):
             e = 0
             while n % p == 0:

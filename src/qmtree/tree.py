@@ -18,11 +18,15 @@ from typing import List, Tuple
 
 from . import linalg as la
 from .errors import (InvariantError, PreconditionError, RankError,
-                     ValidationError)
+                     ResourceError, ValidationError)
 from .orders import LeftIdeal, SplittingData, splitting_data, valuation
 from .quaternion import is_prime
 
 Mat2i = Tuple[Tuple[int, int], Tuple[int, int]]
+
+# longest path geodesic builds: step i works with ell^i-sized entries, so a
+# path of length d costs about d^2 digit operations
+_MAX_PATH = 2048
 
 
 # ---------------------------------------------------------------- vertices
@@ -56,10 +60,14 @@ _VERTEX_RE = re.compile(
 
 
 def parse_vertex(s: str) -> TreeVertex:
-    m = _VERTEX_RE.match(s.strip())
+    m = _VERTEX_RE.match(s.strip()) if isinstance(s, str) else None
     if not m:
         raise ValidationError(f"bad vertex literal {s!r}")
-    ell, a, b, d = (int(t) for t in m.groups())
+    try:
+        ell, a, b, d = (int(t) for t in m.groups())
+    except ValueError:  # past the interpreter's int digit limit
+        raise ValidationError(
+            f"bad vertex literal {s[:40]}...: number too long") from None
     try:
         v = canonicalize(ell, ((a, b), (0, d)))
     except (PreconditionError, RankError) as exc:
@@ -183,6 +191,7 @@ def distance(u: TreeVertex, v: TreeVertex) -> int:
     position matrix; 0 exactly for equal classes."""
     if u.ell != v.ell:
         raise PreconditionError("vertices live at different primes")
+    _check_prime(u.ell)
     (ua, ub), (_, ud) = u.mat
     (va, vb), (_, vd) = v.mat
     # u.mat times the adjugate of v.mat is upper triangular
@@ -199,11 +208,14 @@ def geodesic(u: TreeVertex, v: TreeVertex) -> Tuple[TreeVertex, ...]:
 
     Scale v by a power of ell to M inside u but not inside ell*u; then
     u/M is cyclic of order ell^d at ell and the path is [M + ell^i u] for
-    i = 0..d (Serre, Trees, II.1).
+    i = 0..d (Serre, Trees, II.1).  Paths longer than _MAX_PATH raise
+    ResourceError.
     """
     ell = u.ell
-    _check_prime(ell)
     d = distance(u, v)
+    if d > _MAX_PATH:
+        raise ResourceError(
+            f"geodesic at {ell} of length {d} exceeds {_MAX_PATH} steps")
     if d == 0:
         return (u,)
     (ua, ub), (_, ud) = u.mat

@@ -241,6 +241,25 @@ def test_bt_center_file_formats(capsys, tmp_path):
     assert obj["kind"] == "edge"
 
 
+def test_bt_center_non_string_literal(capsys, tmp_path):
+    f = tmp_path / "verts.json"
+    f.write_text('[1, "2:[[1,0],[0,1]]"]', encoding="utf-8")
+    code, _ = run(capsys, "bt", "center", "--vertices", str(f))
+    assert code == 2
+
+
+def test_bt_geodesic_too_long(capsys):
+    code, _ = run(capsys, "bt", "geodesic", "--u", "2:[[1,0],[0,1]]",
+                  "--v", f"2:[[1,0],[0,{2 ** 3000}]]")
+    assert code == 4
+
+
+def test_qa_info_unfactorable_b(capsys):
+    code, _ = run(capsys, "qa", "info", "--a", "-1",
+                  "--b", str(1000003 * 1000033))
+    assert code == 4
+
+
 def test_bt_center_empty_file(capsys, tmp_path):
     empty = tmp_path / "none.txt"
     empty.write_text("", encoding="utf-8")
@@ -297,6 +316,15 @@ def test_descent_run_multi_exit_five(capsys, tmp_path):
 def test_descent_run_report_needs_single_file(capsys):
     code, _ = run(capsys, "descent", "run", str(DATA / "swap5.json"),
                   str(DATA / "trivial.json"), "--report", "x.json")
+    assert code == 2
+
+
+def test_descent_run_null_vertex(capsys, tmp_path):
+    obj = json.loads((DATA / "swap5.json").read_text())
+    obj["local"]["5"]["vertices"][0] = None
+    path = tmp_path / "null.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    code, _ = run(capsys, "descent", "run", str(path))
     assert code == 2
 
 

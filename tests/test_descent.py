@@ -9,12 +9,14 @@ when it reverses that center edge or flips that ramified sign.
 
 import json
 import random
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 from qmtree import descent as dd
 from qmtree import tree as bt
+from qmtree.center import spanned_subtree
 from qmtree.errors import (
     InconsistencyError,
     PreconditionError,
@@ -513,7 +515,270 @@ def test_descent_caches_stay_bounded():
         report = dd.run_descent(dd.scenario_from_json(obj))
         assert report["N"] == 5 and report["cocycle"] == {"s": [5]}
     assert len(keys) > bound
-    for cache in (dd._subtree_of, dd._extension):
+    for cache in (dd._extension,):
         info = cache.cache_info()
         assert info.maxsize == bound
         assert info.currsize <= bound
+
+
+# ------------------------------------------------------------- oracles
+#
+# descent.py builds the extension along geodesics from one member, checks
+# the cocycle per generator and reads phi-tilde injectivity off each edge.
+# The constructions below are the all-pairs, all-products and all-choices
+# versions they replaced, kept as independent oracles.
+
+
+def _extension_oracle(ell, verts, perm):
+    """Each subtree vertex on the geodesic between members i and j goes
+    to the vertex at the same distance along the image geodesic; all
+    candidates must agree, and the result must be a bijection that keeps
+    every edge."""
+    sub = spanned_subtree(verts)
+    n = len(verts)
+    pairs = []
+    for i, j in combinations(range(n), 2):
+        d = bt.distance(verts[i], verts[j])
+        path = bt.geodesic(verts[perm[i]], verts[perm[j]])
+        if len(path) != d + 1:
+            raise InconsistencyError("distance changed")
+        pairs.append((i, j, d, path))
+    image = {}
+    for v in sub.vertices:
+        cand = {verts[perm[i]] for i in range(n) if verts[i] == v}
+        to_v = [bt.distance(w, v) for w in verts]
+        for i, j, d, path in pairs:
+            if to_v[i] + to_v[j] == d:
+                cand.add(path[to_v[i]])
+        if len(cand) != 1:
+            raise InconsistencyError("no consistent extension")
+        image[v] = cand.pop()
+    if sorted(image.values()) != sorted(sub.vertices):
+        raise InconsistencyError("not a bijection")
+    for u, w in sub.edges:
+        if bt.distance(image[u], image[w]) != 1:
+            raise InconsistencyError("breaks an edge")
+    return image
+
+
+def _homomorphism_oracle(s):
+    """t(x y) = t(x) ^ t(y) over all ordered pairs of group elements."""
+    _, centers = dd.compute_level(s)
+    Q = dd.choose_point(s, centers)
+    words = dd.group_elements(s)
+    by_element = {e: w for w, e in words.items()}
+    twists = {w: dd._twist_of_element(s, e, Q) for w, e in words.items()}
+    return all(
+        twists[by_element[dd._compose(e1, e2)]] == twists[w1] ^ twists[w2]
+        for w1, e1 in words.items()
+        for w2, e2 in words.items()
+    )
+
+
+def _phi_tilde_oracle(Q):
+    """phi-tilde takes 2^omega distinct values on the orientation choices."""
+    primes = sorted(Q.edge_map)
+    images = {
+        dd.phi_tilde(dd.atkin_lehner(Q, set(T)))
+        for k in range(len(primes) + 1)
+        for T in combinations(primes, k)
+    }
+    return len(images) == 2 ** len(primes)
+
+
+def _transported(obj, rng):
+    """A copy of a scenario moved by one random tree automorphism per
+    prime: x -> x g for an integer matrix g of nonzero determinant."""
+    out = json.loads(json.dumps(obj))
+    for prime, comp in out.get("local", {}).items():
+        ell = int(prime)
+        g = ((0, 0), (0, 0))
+        while g[0][0] * g[1][1] == g[0][1] * g[1][0]:
+            g = tuple(tuple(rng.randrange(-ell ** 3, ell ** 3) for _ in "ab")
+                      for _ in "ab")
+
+        def move(lit, ell=ell, g=g):
+            (a, b), (c, d) = bt.parse_vertex(lit).mat
+            (p, q), (r, t) = g
+            return bt.format_vertex(bt.canonicalize(ell, (
+                (a * p + b * r, a * q + b * t),
+                (c * p + d * r, c * q + d * t))))
+
+        comp["vertices"] = [move(x) for x in comp["vertices"]]
+        comp["action"] = {h: [move(x) for x in xs]
+                          for h, xs in comp["action"].items()}
+    return out
+
+
+def _fixture_objects():
+    return {p.name: json.loads(p.read_text()) for p in sorted(DATA.glob("*.json"))}
+
+
+def _oracle_scenarios():
+    """Every fixture but the 480-element one, ten transported copies of
+    each, and random scenarios from the sweep's components."""
+    rng = random.Random("oracles")
+    out = []
+    for name, obj in _fixture_objects().items():
+        if name == "s5_swaps480.json":
+            continue
+        out.append(obj)
+        out.extend(_transported(obj, rng) for _ in range(10))
+    for _ in range(30):
+        gens = ["s", "t"][: 1 + rng.randrange(2)]
+        out.append({
+            "D": 1,
+            "generators": gens,
+            "local": {str(ell): _random_component(rng, ell, gens)
+                      for ell in rng.sample([2, 3, 5, 7], 1 + rng.randrange(3))},
+        })
+    return [dd.scenario_from_json(obj) for obj in out]
+
+
+def test_extension_matches_all_pairs_oracle():
+    triples = set()
+    scenarios = _oracle_scenarios() + [scenario("s5_swaps480.json")]
+    for s in scenarios:
+        for perms, _ in dd.group_elements(s).values():
+            for ell, perm in zip(s.split_primes(), perms):
+                triples.add((ell, s.local[ell].vertices, perm))
+    assert len(triples) > 300
+    for ell, verts, perm in triples:
+        assert dd._extension(ell, verts, perm) == _extension_oracle(
+            ell, verts, perm)
+
+
+def test_homomorphism_check_matches_pairwise_oracle():
+    for s in _oracle_scenarios() + [scenario("s5_swaps480.json")]:
+        report = dd.run_descent(s)
+        assert report["checks"]["homomorphism"] is _homomorphism_oracle(s)
+        assert report["checks"]["homomorphism"] is True
+
+
+def _plant_twist_fault(monkeypatch, target):
+    """Make _twist_of_element add the prime 101 to the twist of target."""
+    real = dd._twist_of_element
+
+    def faulty(s, elem, Q):
+        t = real(s, elem, Q)
+        return t | {101} if elem == target else t
+
+    monkeypatch.setattr(dd, "_twist_of_element", faulty)
+
+
+# fixtures whose acting group has at least three elements: in a group of
+# order 2 a changed twist of the generator is still a homomorphism
+PLANT_FIXTURES = ["cycle3_at2.json", "twogen_15.json", "twogen_35.json",
+                  "star5.json", "s5_swaps480.json"]
+
+
+@pytest.mark.parametrize("name", PLANT_FIXTURES)
+def test_planted_twist_fault_fails_both_checks(monkeypatch, name):
+    s = scenario(name)
+    words = dd.group_elements(s)
+    assert len(words) >= 3
+    target = words[next(w for w in words if w)]
+    _plant_twist_fault(monkeypatch, target)
+    assert dd.run_descent(s)["checks"]["homomorphism"] is False
+    assert _homomorphism_oracle(s) is False
+
+
+@pytest.mark.parametrize("name", ["swap5.json", "trivial.json",
+                                  "twogen_15.json"])
+def test_nonempty_identity_twist_fails_both_checks(monkeypatch, name):
+    s = scenario(name)
+    _plant_twist_fault(monkeypatch, dd.group_elements(s)[()])
+    assert dd.run_descent(s)["checks"]["homomorphism"] is False
+    assert _homomorphism_oracle(s) is False
+
+
+@pytest.mark.parametrize("omega", range(7))
+def test_phi_tilde_check_matches_all_choices_oracle(omega):
+    rng = random.Random(omega)
+    edges = {}
+    for ell in [2, 3, 5, 7, 11, 13][:omega]:
+        r = bt.root(ell)
+        e = dd.OrientedEdge(r, rng.choice(bt.neighbors(r)))
+        edges[ell] = e.reverse() if rng.randrange(2) else e
+    Q = dd.AdelicPoint.build(edges, {17: bt.root(17)}, {19: "+", 23: "-"})
+    assert dd.check_phi_tilde_injective(Q) is True
+    assert _phi_tilde_oracle(Q) is True
+
+
+def test_phi_tilde_check_sees_a_collapsed_edge():
+    # OrientedEdge refuses equal endpoints; force one past it to see the
+    # check read False
+    e = dd.OrientedEdge(bt.root(5), bt.parse_vertex("5:[[1,0],[0,5]]"))
+    Q = dd.AdelicPoint.build({5: e}, {}, {})
+    object.__setattr__(e, "terminus", e.origin)
+    assert dd.check_phi_tilde_injective(Q) is False
+
+
+def _bad_components():
+    """Permutations of hand-built vertex sets at 2 that no tree isometry
+    extends: one changes a distance, one sends a vertex two ways, one is
+    not a bijection."""
+    r = bt.root(2)
+    m1, m2 = bt.neighbors(r)[:2]
+    b, b2 = [w for w in bt.neighbors(m1) if w != r][:2]
+    c = next(w for w in bt.neighbors(m2) if w != r)
+    return [
+        ((r, m1, m2), (1, 0, 2)),
+        # distances from r are kept, but the path to b sends m1 to m1 and
+        # the path to b2 sends it to m2
+        ((r, b, c, b2), (0, 3, 1, 2)),
+        ((r, m1, m2), (0, 1, 1)),
+    ]
+
+
+@pytest.mark.parametrize("case,needle", enumerate([
+    "changes the distance", "no consistent extension", "not a bijection"]))
+def test_non_isometric_component_raises(case, needle):
+    verts, perm = _bad_components()[case]
+    with pytest.raises(InconsistencyError, match=needle):
+        dd._extension(2, verts, perm)
+    with pytest.raises(InconsistencyError):
+        _extension_oracle(2, verts, perm)
+
+
+def test_galois_apply_rejects_non_isometric_component():
+    verts, perm = _bad_components()[0]
+    comp = dd.LocalComponent(2, verts, {"s": perm})
+    s = dd.GaloisScenario(1, ("s",), False, {2: comp}, {})
+    Q = dd.AdelicPoint.build({}, {2: verts[0]}, {})
+    with pytest.raises(InconsistencyError):
+        dd.galois_apply(s, "s", Q)
+
+
+def test_s5_swaps480_scenario():
+    # S5 on five neighbours of the root at 7, times edge swaps at 3 (c)
+    # and 11 (d): the twist holds 3 or 11 when c or d occurs an odd
+    # number of times
+    s = scenario("s5_swaps480.json")
+    assert len(dd.group_elements(s)) == 480
+    report = dd.run_descent(s)
+    assert report["N"] == 33
+    assert report["point"]["vertices"] == {"7": "7:[[1,0],[0,1]]"}
+    assert len(report["cocycle"]) == 479
+    for label, twist in report["cocycle"].items():
+        assert twist == [p for p, g in ((3, "c"), (11, "d"))
+                         if label.count(g) % 2]
+    assert dd.checks_pass(report)
+
+
+NON_STRING_LITERALS = [None, 5, ["5:[[1,0],[0,1]]"], {"v": "5:[[1,0],[0,1]]"}]
+
+
+@pytest.mark.parametrize("lit", NON_STRING_LITERALS,
+                         ids=["null", "number", "list", "object"])
+@pytest.mark.parametrize("where", ["vertices", "action"])
+def test_non_string_vertex_literal_rejected(where, lit):
+    obj = json.loads((DATA / "swap5.json").read_text())
+    comp = obj["local"]["5"]
+    if where == "vertices":
+        comp["vertices"][1] = lit
+    else:
+        comp["action"]["s"][0] = lit
+    with pytest.raises(ValidationError) as err:
+        dd.scenario_from_json(obj)
+    assert "bad literal" in str(err.value)

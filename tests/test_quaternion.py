@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from qmtree.errors import AlgebraError, InvariantError
+from qmtree.errors import AlgebraError, InvariantError, ResourceError
 from qmtree.quaternion import (QuaternionAlgebra, factorize, hilbert_symbol,
                                is_prime, sqrt_mod, squarefree_part)
 
@@ -100,6 +100,17 @@ def test_factorize_roundtrip():
             prod *= p ** e
         assert prod == n
         assert fac == sorted(fac)
+
+
+def test_factorize_guard_on_large_cofactors():
+    p, q = 1000003, 1000033
+    assert is_prime(p) and is_prime(q)
+    with pytest.raises(ResourceError):
+        factorize(p * q)
+    # a prime cofactor past the trial bound is still returned
+    m61 = 2 ** 61 - 1
+    assert factorize(12 * m61) == [(2, 2), (3, 1), (m61, 1)]
+    assert factorize(p * 7) == [(7, 1), (p, 1)]
 
 
 def test_squarefree_part_values():

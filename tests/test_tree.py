@@ -7,6 +7,7 @@ localization is exercised against hand-countable sphere sizes.
 
 import functools
 import random
+import time
 
 import pytest
 
@@ -14,7 +15,7 @@ from qmtree import linalg as la
 from qmtree import orders as od
 from qmtree import tree as bt
 from qmtree.errors import (InvariantError, PreconditionError, RankError,
-                           ValidationError)
+                           ResourceError, ValidationError)
 from qmtree.quaternion import QuaternionAlgebra
 
 
@@ -296,3 +297,35 @@ def test_localize_norm_valuation_relation():
         for I in od.left_ideals_of_norm(O, ell):
             assert bt.distance(bt.root(ell),
                                bt.localize_ideal(I, ell)) == 1
+
+
+def test_distance_checks_the_prime():
+    with pytest.raises(PreconditionError):
+        bt.distance(bt.TreeVertex(6, ((1, 0), (0, 1))),
+                    bt.TreeVertex(6, ((1, 0), (0, 36))))
+
+
+@pytest.mark.parametrize("lit", [None, 2, ["2:[[1,0],[0,1]]"],
+                                 {"v": "2:[[1,0],[0,1]]"}])
+def test_parse_vertex_rejects_non_strings(lit):
+    with pytest.raises(ValidationError):
+        bt.parse_vertex(lit)
+
+
+def test_parse_vertex_rejects_numbers_past_the_digit_limit():
+    with pytest.raises(ValidationError):
+        bt.parse_vertex("2:[[1,0],[0," + "1" * 5000 + "]]")
+
+
+def test_geodesic_length_guard(monkeypatch):
+    far = bt.canonicalize(2, ((1, 0), (0, 2 ** 20000)))
+    start = time.perf_counter()
+    with pytest.raises(ResourceError):
+        bt.geodesic(bt.root(2), far)
+    assert time.perf_counter() - start < 5
+    # the bound is inclusive
+    monkeypatch.setattr(bt, "_MAX_PATH", 8)
+    v8 = bt.canonicalize(2, ((1, 0), (0, 2 ** 8)))
+    assert len(bt.geodesic(bt.root(2), v8)) == 9
+    with pytest.raises(ResourceError):
+        bt.geodesic(bt.root(2), bt.canonicalize(2, ((1, 0), (0, 2 ** 9))))
