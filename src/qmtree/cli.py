@@ -147,7 +147,7 @@ def cmd_order_verify(args) -> int:
 
 def _built_order(args):
     O = od.maximal_order(QuaternionAlgebra(args.a, args.b))
-    if getattr(args, "level", None) and args.level != 1:
+    if getattr(args, "level", 1) != 1:
         O = od.eichler_order(O, args.level, seed=_seed(args))
     return O
 

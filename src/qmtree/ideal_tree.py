@@ -15,9 +15,10 @@ from math import gcd
 from typing import List, Optional, Tuple
 
 from . import linalg as la
-from .errors import InvariantError, PreconditionError, ResourceError
-from .orders import (LeftIdeal, Order, SplittingData, eichler_level,
-                     splitting_data)
+from .errors import (AlgebraError, InvariantError, PreconditionError,
+                     ResourceError)
+from .orders import LeftIdeal, Order, _pullback, eichler_level, splitting_data
+from .quaternion import is_prime
 from . import tree as bt
 
 Mat2i = Tuple[Tuple[int, int], Tuple[int, int]]
@@ -66,28 +67,13 @@ def isogeny_degree(I: LeftIdeal) -> IsogenyDegree:
                          degree=n * n, is_multiplication=(n0 == 1))
 
 
-def _local_lattice_coords(th: SplittingData, L: Mat2i) -> la.IntMatrix:
-    """HNF over the order basis of the left ideal of everything whose image
-    rows fall in L locally."""
-    (a, b), (_, d) = L
-    ell = th.ell
-    if a * d >= th.modulus:
-        raise PreconditionError("splitting precision too low for this depth")
-    R = la.identity(4)
-    for r in range(2):
-        f1 = tuple(th.images[i][r][0] for i in range(4))
-        R = la.congruence_sublattice(R, f1, a)
-        f2 = tuple(a * th.images[i][r][1] - b * th.images[i][r][0]
-                   for i in range(4))
-        R = la.congruence_sublattice(R, f2, a * d)
-    return R
-
-
 def build_ideal_tree(order: Order, ell: int, depth: int,
                      seed: int = 0) -> IdealTree:
     """All primitive left ideals of norm ell^k for k <= depth, organized by
     inclusion.  Guarded at depth 3; the prime must avoid discriminant and
     level."""
+    if not is_prime(ell):
+        raise AlgebraError(f"{ell} is not a prime")
     if depth < 0:
         raise PreconditionError("depth must be nonnegative")
     if depth > 3:
@@ -103,7 +89,7 @@ def build_ideal_tree(order: Order, ell: int, depth: int,
     coords: List[la.IntMatrix] = [la.identity(4)]
     # one splitting serves every level: a node at depth k needs its images
     # mod ell^k only, and lower precisions are reductions of this one
-    th = splitting_data(order, ell, depth + 2, seed) if depth else None
+    th = splitting_data(order, ell, depth, seed) if depth else None
     frontier = [0]
     for k in range(depth):
         nxt: List[int] = []
@@ -116,7 +102,7 @@ def build_ideal_tree(order: Order, ell: int, depth: int,
                 raise InvariantError("wrong number of primitive steps")
             children = []
             for L in kept:
-                R = _local_lattice_coords(th, L)
+                R = _pullback(th, L)
                 J = LeftIdeal.from_order_coords(order, R)
                 if la.hnf_index(R) != ell ** (2 * k + 2):
                     raise InvariantError("child ideal has the wrong norm")

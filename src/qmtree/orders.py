@@ -3,9 +3,8 @@
 Lattices are 4x4 rational row matrices over the ambient basis (1, i, j, k),
 always stored in canonical form, so equality of objects is equality of
 lattices.  The two workhorse constructions are the left/right order of a
-lattice (an integrality computation) and congruence sublattices cut out by
-linear conditions mod ell coming from an explicit local splitting
-O (x) Z_ell ~ M2(Z_ell).
+lattice (an integrality computation) and the pullback of a local lattice
+to a left ideal through an explicit local splitting O (x) Z_ell ~ M2(Z_ell).
 """
 
 from __future__ import annotations
@@ -20,12 +19,22 @@ from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
 from . import linalg as la
-from .errors import (InvariantError, PreconditionError, ResourceError,
-                     ValidationError)
+from .errors import (AlgebraError, InvariantError, PreconditionError,
+                     RankError, ResourceError, ValidationError)
 from .quaternion import (QuatElement, QuaternionAlgebra, _legendre, factorize,
-                         sqrt_mod)
+                         is_prime, sqrt_mod)
 
 Mat2 = Tuple[Tuple[int, int], Tuple[int, int]]
+
+# largest ell whose ell + 1 lines mod ell are enumerated (norm-ell ideals,
+# tree neighbors, ideal-tree children); time and memory grow linearly in ell
+_MAX_ELL = 2 ** 14
+
+
+def _check_line_count(ell: int) -> None:
+    if ell > _MAX_ELL:
+        raise ResourceError(
+            f"{ell} + 1 lines exceed the enumeration guard ({_MAX_ELL})")
 
 
 def valuation(n: int, ell: int) -> int:
@@ -90,7 +99,7 @@ def order_diagnostics(A: QuaternionAlgebra, rows) -> List[str]:
     out = []
     try:
         B = la.lattice_canonical(rows)
-    except Exception:
+    except RankError:
         return ["basis is not full rank"]
     elts = [_elt(A, r) for r in B]
     if not la.lattice_contains(B, (1, 0, 0, 0)):
@@ -392,6 +401,7 @@ class SplittingData:
     ell: int
     k: int
     images: Tuple[Mat2, Mat2, Mat2, Mat2]
+    inverse: Tuple[Tuple[int, ...], ...]  # theta^-1 of E00, E01, E10, E11
 
     @property
     def modulus(self) -> int:
@@ -498,7 +508,14 @@ def splitting_data(order: Order, ell: int, k: int = 1,
         col1 = express(g * v1)
         col2 = express(g * v2)
         images.append(((col1[0], col2[0]), (col1[1], col2[1])))
-    data = SplittingData(order, ell, k, tuple(images))
+    # pow fails iff ell divides a denominator: theta is not onto mod ell
+    try:
+        inv = la.mat_inv([sum(img, ()) for img in images])
+        inverse = tuple(tuple(x.numerator * pow(x.denominator, -1, mod) % mod
+                              for x in row) for row in inv)
+    except (RankError, ValueError):
+        raise InvariantError("splitting is not bijective mod ell") from None
+    data = SplittingData(order, ell, k, tuple(images), inverse)
 
     # ring homomorphism and unitality, on the nose
     if data.apply(A.one()) != ((1, 0), (0, 1)):
@@ -508,11 +525,23 @@ def splitting_data(order: Order, ell: int, k: int = 1,
         for y, Y in zip(elts, images):
             if data.apply(x * y) != _mat2_mul(X, Y, mod):
                 raise InvariantError("splitting is not multiplicative")
-    flat = tuple(tuple(img[r][s] for r in range(2) for s in range(2))
-                 for img in images)
-    if len(la.kernel_mod_p(la.imat(flat), ell)) != 0:
-        raise InvariantError("splitting is not bijective mod ell")
     return data
+
+
+def _pullback(th: SplittingData, L) -> la.IntMatrix:
+    """HNF order coordinates of I_L = {x in O : the rows of theta(x) lie in
+    L} for a 2x2 integer basis L with m = |det L| dividing ell^k: I_L is m O
+    plus the preimages of the matrices with one row in L and the other 0."""
+    (w, x), (y, z) = L
+    m = abs(w * z - x * y)
+    if m == 0 or th.modulus % m:
+        raise PreconditionError(f"index {m} does not divide {th.modulus}")
+    # (E00, E01) put a row (p, q) in row 0, (E10, E11) put it in row 1
+    gens = (tuple((p * s + q * t) % m for s, t in zip(u, v))
+            for p, q in L for u, v in (th.inverse[:2], th.inverse[2:]))
+    mI = ((m, 0, 0, 0), (0, m, 0, 0), (0, 0, m, 0), (0, 0, 0, m))
+    # zero rows, from rows of L inside m Z^2, would only slow the HNF down
+    return la.hnf_basis(mI + tuple(g for g in gens if any(g)))
 
 
 # ------------------------------------------------------- Eichler orders
@@ -655,10 +684,13 @@ def left_ideals_of_norm(order: Order, ell: int,
                         seed: int = 0) -> List[LeftIdeal]:
     """All primitive left ideals of reduced norm ell.
 
-    Split ell away from the level: the ell+1 pullbacks of the lines of
-    F_ell^2 under a mod-ell splitting.  Ramified ell: just the two-sided
+    Split ell away from the level: for v = (1, 0), ..., (1, ell-1), (0, 1)
+    in that order, {x : theta(x) v = 0 mod ell}, the pullback of the local
+    lattice ell Z^2 + Z(-v_1, v_0).  Ramified ell: just the two-sided
     prime.  ell dividing the level: direct enumeration.
     """
+    if not is_prime(ell):
+        raise AlgebraError(f"{ell} is not a prime")
     A = order.algebra
     D = A.discriminant()
     level = eichler_level(order)
@@ -667,14 +699,11 @@ def left_ideals_of_norm(order: Order, ell: int,
     if level % ell == 0:
         return [I for I in enumerate_left_ideals(order, ell)
                 if I.is_primitive()]
+    _check_line_count(ell)
     th = splitting_data(order, ell, 1, seed)
     out = []
-    ell_rows = la.mat_scale(ell, la.identity(4))
-    for v in [(1, x) for x in range(ell)] + [(0, 1)]:
-        # ell*O plus the lift of the F_ell-kernel of the two row conditions
-        F = tuple(tuple(th.images[i][r][0] * v[0] + th.images[i][r][1] * v[1]
-                        for i in range(4)) for r in range(2))
-        R = la.hnf_basis(ell_rows + tuple(la.kernel_mod_p(F, ell)))
+    for L in [((-t, 1), (ell, 0)) for t in range(ell)] + [((-1, 0), (0, ell))]:
+        R = _pullback(th, L)
         if la.hnf_index(R) != ell * ell:
             raise InvariantError("line pullback has the wrong norm")
         out.append(LeftIdeal.from_order_coords(order, R))
@@ -760,11 +789,12 @@ def order_to_json(order: Order) -> Dict:
 def order_from_json(d) -> Order:
     if not isinstance(d, dict) or "algebra" not in d or "basis" not in d:
         raise ValidationError("order needs fields algebra and basis")
-    O = Order(algebra_from_json(d["algebra"]), _basis_from_json(d["basis"]))
-    bad = order_diagnostics(O.algebra, O.basis)
+    A = algebra_from_json(d["algebra"])
+    B = _basis_from_json(d["basis"])
+    bad = order_diagnostics(A, B)
     if bad:
         raise ValidationError("not an order: " + "; ".join(bad))
-    return O
+    return Order(A, B)
 
 
 def ideal_to_json(I: LeftIdeal) -> Dict:
@@ -777,10 +807,11 @@ def ideal_from_json(d) -> LeftIdeal:
     if not isinstance(d, dict) or "basis" not in d or "leftOrder" not in d:
         raise ValidationError("ideal needs fields algebra, leftOrder, basis")
     A = algebra_from_json(d.get("algebra", {}))
-    O = Order(A, _basis_from_json(d["leftOrder"]))
-    bad = order_diagnostics(A, O.basis)
+    B = _basis_from_json(d["leftOrder"])
+    bad = order_diagnostics(A, B)
     if bad:
         raise ValidationError("leftOrder is not an order: " + "; ".join(bad))
+    O = Order(A, B)
     I = LeftIdeal(O, _basis_from_json(d["basis"]))
     if not I.is_left_ideal():
         raise ValidationError("lattice is not a left ideal of the order")

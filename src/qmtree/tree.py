@@ -19,7 +19,8 @@ from typing import List, Tuple
 from . import linalg as la
 from .errors import (InvariantError, PreconditionError, RankError,
                      ResourceError, ValidationError)
-from .orders import LeftIdeal, SplittingData, splitting_data, valuation
+from .orders import (LeftIdeal, SplittingData, _check_line_count,
+                     splitting_data, valuation)
 from .quaternion import is_prime
 
 Mat2i = Tuple[Tuple[int, int], Tuple[int, int]]
@@ -169,7 +170,9 @@ def index_ell_sublattices(L: Mat2i, ell: int) -> List[Mat2i]:
 
     L is in row HNF ((a, b), (0, d)).  Each sublattice is ell*L plus one
     line of L/ell*L: r1 + t*r2 for t = 0..ell-1, then r2, in that order.
+    An ell above orders._MAX_ELL raises ResourceError.
     """
+    _check_line_count(ell)
     (a, b), (_, d) = L
     out = [((a, (b + t * d) % (ell * d)), (0, ell * d)) for t in range(ell)]
     out.append(((ell * a, ell * b % d), (0, d)))

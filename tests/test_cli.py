@@ -3,11 +3,14 @@
 import json
 import subprocess
 import sys
+from itertools import count
 from pathlib import Path
 
 import pytest
 
+from qmtree import orders as od
 from qmtree.cli import main
+from qmtree.quaternion import QuaternionAlgebra, is_prime
 
 DATA = Path(__file__).parent / "data"
 
@@ -369,6 +372,42 @@ def test_descent_run_vertex_with_bad_prime_or_singular_matrix(capsys, tmp_path,
     }), encoding="utf-8")
     assert main(["descent", "run", str(bad)]) == 2
     assert "bad literal" in capsys.readouterr().err
+
+
+# ------------------------------------------------------ bad arguments
+
+# PAST stands for the least prime above the line-enumeration guard and
+# SINGULAR for an order file whose basis has rank 3
+BAD_ARGUMENTS = (
+    [(["ideals", "norm-l", f"--l={ell}"], 2) for ell in (0, 1, 4, -5)]
+    + [(["ideals", "tree", f"--l={ell}", "--depth", depth], 2)
+       for ell in (0, 1, 4, -5) for depth in ("0", "1")]
+    + [(["ideals", "norm-l", "--l", "PAST"], 4),
+       (["ideals", "tree", "--l", "PAST", "--depth", "1"], 4),
+       (["bt", "neighbors", "--v", "PAST:[[1,0],[0,1]]"], 4)]
+    + [(cmd + [f"--level={level}"], 3)
+       for cmd in (["ideals", "norm-l", "--l", "5"],
+                   ["ideals", "tree", "--l", "5", "--depth", "1"],
+                   ["order", "eichler"])
+       for level in (0, -3, 4)]
+    + [(["order", "discriminant", "--order", "SINGULAR"], 2)]
+)
+
+
+@pytest.mark.parametrize("argv,want", BAD_ARGUMENTS,
+                         ids=[" ".join(a) for a, _ in BAD_ARGUMENTS])
+def test_bad_arguments_end_in_an_error_line(capsys, tmp_path, argv, want):
+    past = next(p for p in count(od._MAX_ELL + 1) if is_prime(p))
+    singular = tmp_path / "singular.json"
+    order = od.order_to_json(od.maximal_order(QuaternionAlgebra(-1, 3)))
+    order["basis"][3] = order["basis"][2]
+    singular.write_text(json.dumps(order), encoding="utf-8")
+    argv = [a.replace("PAST", str(past)).replace("SINGULAR", str(singular))
+            for a in argv]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == want
+    assert any(line.startswith("error:") for line in err.splitlines())
 
 
 # ---------------------------------------------------------------- misc

@@ -13,7 +13,7 @@ from qmtree import ideal_tree as it
 from qmtree import linalg as la
 from qmtree import orders as od
 from qmtree import tree as bt
-from qmtree.errors import PreconditionError, ResourceError
+from qmtree.errors import AlgebraError, PreconditionError, ResourceError
 from qmtree.quaternion import QuaternionAlgebra
 
 
@@ -87,6 +87,52 @@ def test_tree_on_eichler_order():
     tr = it.build_ideal_tree(E, 5, 1)
     assert len(tr.level(1)) == 6
     assert it.verify_tree_isomorphism(tr)["ok"]
+
+
+def local_lattice_coords(th, L):
+    """The former ideal-tree child construction, kept as the oracle for
+    orders._pullback: four congruence sublattices, one per condition that
+    a row (u, w) of theta(x) lies in L = ((a, b), (0, d)): a | u and
+    a w - b u == 0 mod a d.  Needs a d < ell^k."""
+    (a, b), (_, d) = L
+    assert a * d < th.modulus
+    R = la.identity(4)
+    for r in range(2):
+        f1 = tuple(th.images[i][r][0] for i in range(4))
+        R = la.congruence_sublattice(R, f1, a)
+        f2 = tuple(a * th.images[i][r][1] - b * th.images[i][r][0]
+                   for i in range(4))
+        R = la.congruence_sublattice(R, f2, a * d)
+    return R
+
+
+@pytest.mark.parametrize("a,b,level", [(1, 1, 1), (-1, -1, 1), (-1, -1, 11)])
+def test_pullback_matches_congruence_oracle(a, b, level):
+    O = od.eichler_order(max_order(a, b), level)
+    for ell in (3, 5, 7):
+        tr = it.build_ideal_tree(O, ell, 3)
+        low = od.splitting_data(O, ell, 3)
+        high = od.splitting_data(O, ell, 5)
+        for node in tr.nodes:
+            R = od._pullback(low, node.local)
+            assert R == local_lattice_coords(high, node.local), (ell, node)
+            assert od.LeftIdeal.from_order_coords(O, R) == node.ideal
+
+
+def test_pullback_needs_the_index_to_divide_the_modulus():
+    th = od.splitting_data(max_order(1, 1), 3, 2)
+    od._pullback(th, ((1, 0), (0, 9)))
+    with pytest.raises(PreconditionError):
+        od._pullback(th, ((1, 0), (0, 27)))
+    with pytest.raises(PreconditionError):
+        od._pullback(th, ((1, 0), (0, 2)))
+
+
+@pytest.mark.parametrize("ell", [0, 1, 4, -5])
+def test_tree_rejects_non_primes(ell):
+    for depth in (0, 1):
+        with pytest.raises(AlgebraError, match=f"{ell} is not a prime"):
+            it.build_ideal_tree(max_order(-1, 3), ell, depth)
 
 
 def test_tree_preconditions_and_guard():

@@ -14,8 +14,8 @@ import pytest
 
 from qmtree import linalg as la
 from qmtree import orders as od
-from qmtree.errors import (InvariantError, PreconditionError, ResourceError,
-                           ValidationError)
+from qmtree.errors import (AlgebraError, InvariantError, PreconditionError,
+                           ResourceError, ValidationError)
 from qmtree.quaternion import QuaternionAlgebra
 
 
@@ -279,6 +279,14 @@ def test_splitting_reduces_to_lower_precision():
                     assert low.images == tuple(
                         tuple(tuple(x % m for x in row) for row in img)
                         for img in top.images), (ell, k, seed)
+                    assert low.inverse == tuple(
+                        tuple(x % m for x in row) for row in top.inverse)
+                    # the flattened images times theta^-1, both ways round
+                    F = tuple(sum(img, ()) for img in low.images)
+                    for P in (la.mat_mul(F, low.inverse),
+                              la.mat_mul(low.inverse, F)):
+                        assert tuple(tuple(x % m for x in row)
+                                     for row in P) == la.identity(4)
 
 
 # ---------------------------------------------------------------- Eichler
@@ -365,6 +373,21 @@ def test_norm_ideal_count_at_level_prime():
     assert len(od.left_ideals_of_norm(E5, 5)) == 2 * 5 + 1
     E3 = od.eichler_order(max_order(-2, 5), 3)
     assert len(od.left_ideals_of_norm(E3, 3)) == 2 * 3 + 1
+
+
+@pytest.mark.parametrize("ell", [0, 1, 4, -5])
+def test_norm_ideals_reject_non_primes(ell):
+    for O in (max_order(-1, 3), od.eichler_order(max_order(-1, 3), 5)):
+        with pytest.raises(AlgebraError, match=f"{ell} is not a prime"):
+            od.left_ideals_of_norm(O, ell)
+
+
+def test_norm_ideals_guard_the_line_count(monkeypatch):
+    O = max_order(-1, 3)
+    monkeypatch.setattr(od, "_MAX_ELL", 100)
+    assert len(od.left_ideals_of_norm(O, 97)) == 98
+    with pytest.raises(ResourceError):
+        od.left_ideals_of_norm(O, 101)
 
 
 def test_norm_ideal_lattices_match_fraction_products():
@@ -516,3 +539,15 @@ def test_json_validation_errors():
     dd["basis"][0][0] = "1/7"
     with pytest.raises(ValidationError):
         od.ideal_from_json(dd)
+
+
+def test_singular_basis_is_a_validation_error():
+    good = od.order_to_json(max_order(-1, 3))
+    singular = [list(r) for r in good["basis"]]
+    singular[3] = singular[2]
+    with pytest.raises(ValidationError, match="basis is not full rank"):
+        od.order_from_json({"algebra": good["algebra"], "basis": singular})
+    ideal = od.ideal_to_json(od.left_ideals_of_norm(max_order(-1, 3), 5)[0])
+    ideal["leftOrder"] = singular
+    with pytest.raises(ValidationError, match="basis is not full rank"):
+        od.ideal_from_json(ideal)

@@ -8,6 +8,7 @@ localization is exercised against hand-countable sphere sizes.
 import functools
 import random
 import time
+from itertools import count
 
 import pytest
 
@@ -16,7 +17,7 @@ from qmtree import orders as od
 from qmtree import tree as bt
 from qmtree.errors import (InvariantError, PreconditionError, RankError,
                            ResourceError, ValidationError)
-from qmtree.quaternion import QuaternionAlgebra
+from qmtree.quaternion import QuaternionAlgebra, is_prime
 
 
 @functools.lru_cache(maxsize=None)
@@ -329,3 +330,16 @@ def test_geodesic_length_guard(monkeypatch):
     assert len(bt.geodesic(bt.root(2), v8)) == 9
     with pytest.raises(ResourceError):
         bt.geodesic(bt.root(2), bt.canonicalize(2, ((1, 0), (0, 2 ** 9))))
+
+
+def test_line_enumeration_guard(monkeypatch):
+    past = next(p for p in count(od._MAX_ELL + 1) if is_prime(p))
+    with pytest.raises(ResourceError):
+        bt.neighbors(bt.root(past))
+    with pytest.raises(ResourceError):
+        bt.index_ell_sublattices(((1, 0), (0, 1)), past)
+    # the bound is inclusive
+    monkeypatch.setattr(od, "_MAX_ELL", 7)
+    assert len(bt.neighbors(bt.root(7))) == 8
+    with pytest.raises(ResourceError):
+        bt.neighbors(bt.root(11))

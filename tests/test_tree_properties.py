@@ -1,7 +1,9 @@
 """Property tests for the lattice-class tree: closed-form neighbors against
 canonicalizing every index-ell sublattice, canonical forms under changes of
-basis and scaling, and the path laws of geodesic and distance."""
+basis and scaling, the path laws of geodesic and distance, and localization
+as the inverse of the pullback from vertices to ideals."""
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qmtree import linalg as la
+from qmtree import orders as od
 from qmtree import tree as bt
+from qmtree.quaternion import QuaternionAlgebra
 
 PRIMES = [2, 3, 5, 7, 101, 1009]
 
@@ -89,3 +93,22 @@ def test_geodesic_laws(pair):
     for a, b in zip(g, g[1:]):
         assert bt.distance(a, b) == 1
     assert bt.geodesic(v, u) == g[::-1]
+
+
+@functools.lru_cache(maxsize=None)
+def split_order(a, b, level):
+    return od.eichler_order(od.maximal_order(QuaternionAlgebra(a, b)), level)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(1, 1, 1), (-1, -1, 1), (-1, 3, 1), (-1, -1, 11)]),
+       st.sampled_from([2, 3, 5, 7, 13]).flatmap(vertex_at))
+def test_localize_inverts_the_pullback(key, v):
+    """A vertex up to distance 6 from the root comes back from its ideal."""
+    O = split_order(*key)
+    ell = v.ell
+    assume(od.reduced_discriminant(O) % ell)
+    (a, _), (_, d) = v.mat
+    th = od.splitting_data(O, ell, od.valuation(a * d, ell) + 1)
+    I = od.LeftIdeal.from_order_coords(O, od._pullback(th, v.mat))
+    assert bt._localize(I, th) == v
