@@ -17,7 +17,8 @@ from typing import List, Optional, Tuple
 from . import linalg as la
 from .errors import (AlgebraError, InvariantError, PreconditionError,
                      ResourceError)
-from .orders import LeftIdeal, Order, _pullback, eichler_level, splitting_data
+from .orders import (LeftIdeal, Order, _check_tree_size, _pullback,
+                     eichler_level, splitting_data)
 from .quaternion import is_prime
 from . import tree as bt
 
@@ -70,19 +71,21 @@ def isogeny_degree(I: LeftIdeal) -> IsogenyDegree:
 def build_ideal_tree(order: Order, ell: int, depth: int,
                      seed: int = 0) -> IdealTree:
     """All primitive left ideals of norm ell^k for k <= depth, organized by
-    inclusion.  Guarded at depth 3; the prime must avoid discriminant and
-    level."""
+    inclusion.  Guarded at depth 3 and at orders._MAX_TREE_NODES nodes; the
+    prime must avoid discriminant and level."""
     if not is_prime(ell):
         raise AlgebraError(f"{ell} is not a prime")
     if depth < 0:
         raise PreconditionError("depth must be nonnegative")
     if depth > 3:
         raise ResourceError(f"depth {depth} exceeds the tree guard (3)")
+    _check_tree_size(ell, depth)
     D = order.algebra.discriminant()
     if (D * eichler_level(order)) % ell == 0:
         raise PreconditionError(
             f"{ell} divides the discriminant or the level")
-    root_ideal = LeftIdeal(order, order.basis)
+    cleared = la.clear_denominators(order.basis)
+    root_ideal = LeftIdeal._from_cleared(order, cleared, la.identity(4))
     nodes: List[IdealNode] = [IdealNode(root_ideal, 0, None, (),
                                         ((1, 0), (0, 1)))]
     # order coordinates of each node's ideal, in HNF
@@ -103,7 +106,7 @@ def build_ideal_tree(order: Order, ell: int, depth: int,
             children = []
             for L in kept:
                 R = _pullback(th, L)
-                J = LeftIdeal.from_order_coords(order, R)
+                J = LeftIdeal._from_cleared(order, cleared, R)
                 if la.hnf_index(R) != ell ** (2 * k + 2):
                     raise InvariantError("child ideal has the wrong norm")
                 if not node.ideal.order.contains_lattice(J.lattice):

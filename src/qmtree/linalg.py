@@ -101,6 +101,27 @@ def mat_inv(M) -> RatMatrix:
     return tuple(tuple(row[n:]) for row in A)
 
 
+def mat_inv_mod(M: IntMatrix, m: int) -> IntMatrix:
+    """Inverse of a square integer matrix modulo a prime power m, entries in
+    [0, m).  Gauss-Jordan with unit pivots; raises RankError when M is
+    singular modulo the prime, which is exactly when no unit pivot exists."""
+    n = len(M)
+    A = [[x % m for x in row] + [int(i == j) for j in range(n)]
+         for i, row in enumerate(M)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if gcd(A[i][c], m) == 1), None)
+        if piv is None:
+            raise RankError(f"matrix is singular modulo {m}")
+        A[c], A[piv] = A[piv], A[c]
+        inv = pow(A[c][c], -1, m)
+        A[c] = [x * inv % m for x in A[c]]
+        for i in range(n):
+            if i != c and A[i][c]:
+                f = A[i][c]
+                A[i] = [(x - f * y) % m for x, y in zip(A[i], A[c])]
+    return tuple(tuple(row[n:]) for row in A)
+
+
 def content(M) -> int:
     """Gcd of all entries (0 for the zero matrix)."""
     g = 0
@@ -125,21 +146,20 @@ def xgcd(a: int, b: int) -> Tuple[int, int, int]:
 
 # ---------------------------------------------------------------- HNF / SNF
 
-def hnf(M: IntMatrix) -> Tuple[IntMatrix, IntMatrix]:
+def hnf(M: IntMatrix) -> IntMatrix:
     """Row-style Hermite normal form.
 
     Args:
         M: integer matrix (any shape, any rank).
 
     Returns:
-        (H, U) with H = U*M, U unimodular, H in the frozen convention:
-        echelon, pivots positive, entries above a pivot in [0, pivot),
-        zero rows last.  H is unique for the convention; U need not be.
+        H = U*M for some unimodular U, in the frozen convention: echelon,
+        pivots positive, entries above a pivot in [0, pivot), zero rows
+        last.  H is unique for the convention.
     """
     m = len(M)
     n = len(M[0]) if m else 0
     H: List[List[int]] = [list(row) for row in M]
-    U: List[List[int]] = [[int(i == j) for j in range(m)] for i in range(m)]
     r = 0
     for c in range(n):
         if r == m:
@@ -151,7 +171,6 @@ def hnf(M: IntMatrix) -> Tuple[IntMatrix, IntMatrix]:
             if a != 0 and b % a == 0:
                 q = b // a
                 H[i] = [v - q * u for u, v in zip(H[r], H[i])]
-                U[i] = [v - q * u for u, v in zip(U[r], U[i])]
                 continue
             g, x, y = xgcd(a, b)
             # unimodular 2x2 transform: det = (x*a + y*b)/g = 1
@@ -159,22 +178,17 @@ def hnf(M: IntMatrix) -> Tuple[IntMatrix, IntMatrix]:
             hr, hi = H[r], H[i]
             H[r] = [x * u + y * v for u, v in zip(hr, hi)]
             H[i] = [p * u + q * v for u, v in zip(hr, hi)]
-            ur, ui = U[r], U[i]
-            U[r] = [x * u + y * v for u, v in zip(ur, ui)]
-            U[i] = [p * u + q * v for u, v in zip(ur, ui)]
         if H[r][c] == 0:
             continue
         if H[r][c] < 0:
             H[r] = [-x for x in H[r]]
-            U[r] = [-x for x in U[r]]
         piv = H[r][c]
         for i in range(r):
             q = H[i][c] // piv
             if q:
                 H[i] = [u - q * v for u, v in zip(H[i], H[r])]
-                U[i] = [u - q * v for u, v in zip(U[i], U[r])]
         r += 1
-    return tuple(tuple(row) for row in H), tuple(tuple(row) for row in U)
+    return tuple(tuple(row) for row in H)
 
 
 def hnf_basis(M: IntMatrix, expect_rank: int | None = None) -> IntMatrix:
@@ -183,12 +197,65 @@ def hnf_basis(M: IntMatrix, expect_rank: int | None = None) -> IntMatrix:
     With expect_rank set (default: the column count), raises RankError if the
     lattice has lower rank.
     """
-    H, _ = hnf(M)
-    rows = tuple(row for row in H if any(row))
+    rows = tuple(row for row in hnf(M) if any(row))
     want = len(M[0]) if (expect_rank is None and M) else expect_rank
     if want is not None and len(rows) != want:
         raise RankError(f"row lattice has rank {len(rows)}, expected {want}")
     return rows
+
+
+def hnf_mod(M: IntMatrix, ell: int, m: int) -> IntMatrix:
+    """hnf_basis of m Z^n + rowspan(M) for m a power of the prime ell.
+
+    The lattice contains m Z^n, so it is read off an elimination mod m
+    (Cohen, GTM 138, 2.4.2): in each column the pivot is a row whose entry
+    has the least ell-valuation v, scaled by a unit to ell^v; it clears the
+    column in the other rows, and (m / ell^v) times it, which vanishes in
+    the column, joins them, as in a Howell form.  A column with no pivot
+    gets m e_c.  Reducing above the pivots then gives the frozen convention.
+    """
+    n = len(M[0]) if M else 0
+    rest = [r for r in ([x % m for x in row] for row in M) if any(r)]
+    H: List[List[int]] = []
+    for c in range(n):
+        best = None
+        for i, row in enumerate(rest):
+            x = row[c]
+            if x:
+                v = 0
+                while x % ell == 0:
+                    x //= ell
+                    v += 1
+                if best is None or v < best[0]:
+                    best = (v, i, x)
+                    if v == 0:
+                        break
+        if best is None:
+            H.append([m if j == c else 0 for j in range(n)])
+            continue
+        v, i, u = best
+        piv = ell ** v
+        uinv = pow(u, -1, m)
+        p = [x * uinv % m for x in rest.pop(i)]
+        nxt = []
+        for row in rest:
+            q = row[c] // piv
+            if q:
+                row = [(x - q * y) % m for x, y in zip(row, p)]
+                if not any(row):
+                    continue
+            nxt.append(row)
+        if v:
+            nxt.append([x * (m // piv) % m for x in p])
+        rest = nxt
+        H.append(p)
+    for c in range(n):
+        piv = H[c][c]
+        for i in range(c):
+            q = H[i][c] // piv
+            if q:
+                H[i] = [x - q * y for x, y in zip(H[i], H[c])]
+    return tuple(tuple(row) for row in H)
 
 
 def snf(M: IntMatrix) -> Tuple[int, ...]:
@@ -391,7 +458,7 @@ def integrality_lattice(A: RatMatrix) -> RatMatrix:
     by stacking those matrices into A column-wise.
     """
     P, d = clear_denominators(rmat(A))
-    Ht, _ = hnf(transpose(P))
+    Ht = hnf(transpose(P))
     n = len(A)
     top = tuple(row for row in Ht if any(row))
     if len(top) != n:
@@ -402,14 +469,15 @@ def integrality_lattice(A: RatMatrix) -> RatMatrix:
 
 
 def congruence_kernel(f: Sequence[int], m: int) -> IntMatrix:
-    """Basis of {t in Z^n : t . f == 0 (mod m)} for m >= 1."""
+    """Basis of {t in Z^n : t . f == 0 (mod m)} for m >= 1.
+
+    The rows (f_i | e_i) and (m | 0) span {(t . f + k m, t)}; below the one
+    pivot in column 0, the HNF rows are those with t . f + k m = 0.
+    """
     n = len(f)
-    col = tuple((int(x),) for x in f)
-    H, U = hnf(col)
-    g = H[0][0] if H and H[0] else 0
-    m1 = m // gcd(g, m)
-    rows = [tuple(m1 * x for x in U[0])] + [tuple(U[i]) for i in range(1, n)]
-    return hnf_basis(tuple(rows), expect_rank=n)
+    rows = tuple((int(x),) + tuple(int(i == j) for j in range(n))
+                 for i, x in enumerate(f)) + ((m,) + (0,) * n,)
+    return tuple(row[1:] for row in hnf_basis(rows)[1:])
 
 
 def congruence_sublattice(R: IntMatrix, c: Sequence[int], m: int) -> IntMatrix:

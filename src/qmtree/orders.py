@@ -29,12 +29,21 @@ Mat2 = Tuple[Tuple[int, int], Tuple[int, int]]
 # largest ell whose ell + 1 lines mod ell are enumerated (norm-ell ideals,
 # tree neighbors, ideal-tree children); time and memory grow linearly in ell
 _MAX_ELL = 2 ** 14
+# most nodes an ideal tree may have; every depth-1 tree within _MAX_ELL fits
+_MAX_TREE_NODES = 2 ** 14
 
 
 def _check_line_count(ell: int) -> None:
     if ell > _MAX_ELL:
         raise ResourceError(
             f"{ell} + 1 lines exceed the enumeration guard ({_MAX_ELL})")
+
+
+def _check_tree_size(ell: int, depth: int) -> None:
+    size = 1 + (ell + 1) * (ell ** depth - 1) // (ell - 1)
+    if size > _MAX_TREE_NODES:
+        raise ResourceError(
+            f"{size} nodes exceed the ideal-tree guard ({_MAX_TREE_NODES})")
 
 
 def valuation(n: int, ell: int) -> int:
@@ -508,12 +517,10 @@ def splitting_data(order: Order, ell: int, k: int = 1,
         col1 = express(g * v1)
         col2 = express(g * v2)
         images.append(((col1[0], col2[0]), (col1[1], col2[1])))
-    # pow fails iff ell divides a denominator: theta is not onto mod ell
+    # theta is onto mod ell iff ell does not divide det of the images
     try:
-        inv = la.mat_inv([sum(img, ()) for img in images])
-        inverse = tuple(tuple(x.numerator * pow(x.denominator, -1, mod) % mod
-                              for x in row) for row in inv)
-    except (RankError, ValueError):
+        inverse = la.mat_inv_mod([sum(img, ()) for img in images], mod)
+    except RankError:
         raise InvariantError("splitting is not bijective mod ell") from None
     data = SplittingData(order, ell, k, tuple(images), inverse)
 
@@ -537,11 +544,9 @@ def _pullback(th: SplittingData, L) -> la.IntMatrix:
     if m == 0 or th.modulus % m:
         raise PreconditionError(f"index {m} does not divide {th.modulus}")
     # (E00, E01) put a row (p, q) in row 0, (E10, E11) put it in row 1
-    gens = (tuple((p * s + q * t) % m for s, t in zip(u, v))
-            for p, q in L for u, v in (th.inverse[:2], th.inverse[2:]))
-    mI = ((m, 0, 0, 0), (0, m, 0, 0), (0, 0, m, 0), (0, 0, 0, m))
-    # zero rows, from rows of L inside m Z^2, would only slow the HNF down
-    return la.hnf_basis(mI + tuple(g for g in gens if any(g)))
+    gens = tuple(tuple(p * s + q * t for s, t in zip(u, v))
+                 for p, q in L for u, v in (th.inverse[:2], th.inverse[2:]))
+    return la.hnf_mod(gens, th.ell, m)
 
 
 # ------------------------------------------------------- Eichler orders
@@ -593,7 +598,13 @@ class LeftIdeal:
         Its lattice is hnf(R B)/d for (B, d) = clear_denominators(basis),
         which is lattice_canonical(R * basis) since hnf(kM) = k hnf(M).
         """
-        B, d = la.clear_denominators(order.basis)
+        return cls._from_cleared(order, la.clear_denominators(order.basis), R)
+
+    @classmethod
+    def _from_cleared(cls, order: Order, cleared, R: la.IntMatrix):
+        """from_order_coords with (B, d) = clear_denominators(order.basis)
+        given, so that a run of ideals over one order clears it once."""
+        B, d = cleared
         H = la.hnf_basis(la.mat_mul(R, B))
         I = object.__new__(cls)
         object.__setattr__(I, "order", order)
@@ -701,12 +712,13 @@ def left_ideals_of_norm(order: Order, ell: int,
                 if I.is_primitive()]
     _check_line_count(ell)
     th = splitting_data(order, ell, 1, seed)
+    cleared = la.clear_denominators(order.basis)
     out = []
     for L in [((-t, 1), (ell, 0)) for t in range(ell)] + [((-1, 0), (0, ell))]:
         R = _pullback(th, L)
         if la.hnf_index(R) != ell * ell:
             raise InvariantError("line pullback has the wrong norm")
-        out.append(LeftIdeal.from_order_coords(order, R))
+        out.append(LeftIdeal._from_cleared(order, cleared, R))
     return out
 
 
@@ -726,6 +738,7 @@ def enumerate_left_ideals(order: Order, n: int) -> List[LeftIdeal]:
         raise ResourceError(f"norm {n} exceeds the enumeration guard (13)")
     # columns of each M_t, so a row's image is one dot product per column
     cols = [tuple(zip(*Mt)) for Mt in structure_matrices(order)]
+    cleared = la.clear_denominators(order.basis)
     divs = _divisors(n)
     target = n * n
     found = []
@@ -742,7 +755,8 @@ def enumerate_left_ideals(order: Order, n: int) -> List[LeftIdeal]:
                 H[i][j] = x
             if all(la.lattice_contains(H, [sum(map(mul, row, c)) for c in C])
                    for C in cols for row in H):
-                found.append(LeftIdeal.from_order_coords(order, la.imat(H)))
+                found.append(LeftIdeal._from_cleared(order, cleared,
+                                                     la.imat(H)))
     return found
 
 

@@ -384,7 +384,9 @@ BAD_ARGUMENTS = (
        for ell in (0, 1, 4, -5) for depth in ("0", "1")]
     + [(["ideals", "norm-l", "--l", "PAST"], 4),
        (["ideals", "tree", "--l", "PAST", "--depth", "1"], 4),
-       (["bt", "neighbors", "--v", "PAST:[[1,0],[0,1]]"], 4)]
+       (["bt", "neighbors", "--v", "PAST:[[1,0],[0,1]]"], 4),
+       (["ideals", "tree", "--l", "1009", "--depth", "2"], 4),
+       (["ideals", "tree", "--l", "101", "--depth", "3"], 4)]
     + [(cmd + [f"--level={level}"], 3)
        for cmd in (["ideals", "norm-l", "--l", "5"],
                    ["ideals", "tree", "--l", "5", "--depth", "1"],

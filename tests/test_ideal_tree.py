@@ -14,7 +14,7 @@ from qmtree import linalg as la
 from qmtree import orders as od
 from qmtree import tree as bt
 from qmtree.errors import AlgebraError, PreconditionError, ResourceError
-from qmtree.quaternion import QuaternionAlgebra
+from qmtree.quaternion import QuaternionAlgebra, is_prime
 
 
 @functools.lru_cache(maxsize=None)
@@ -146,6 +146,29 @@ def test_tree_preconditions_and_guard():
         it.build_ideal_tree(O, 5, 4)
     with pytest.raises(PreconditionError):
         it.build_ideal_tree(O, 5, -1)
+
+
+def test_tree_guards_the_node_count(monkeypatch):
+    O = max_order(-1, 3)
+    # 1 + (ell + 1)(ell^depth - 1)/(ell - 1) nodes; the bound is inclusive
+    with monkeypatch.context() as mp:
+        mp.setattr(od, "_MAX_TREE_NODES", 37)
+        assert len(it.build_ideal_tree(O, 5, 2).nodes) == 37
+        assert len(it.build_ideal_tree(O, 7, 1).nodes) == 9
+        for ell, depth in ((7, 2), (5, 3)):
+            with pytest.raises(ResourceError, match="ideal-tree guard"):
+                it.build_ideal_tree(O, ell, depth)
+    # about a million nodes each: refused before any is built
+    for ell, depth in ((1009, 2), (101, 3)):
+        with pytest.raises(ResourceError, match="ideal-tree guard"):
+            it.build_ideal_tree(O, ell, depth)
+
+
+def test_node_count_guard_admits_every_depth_one_tree_and_l_101_depth_2():
+    # the largest prime within the line-enumeration guard
+    top = next(p for p in range(od._MAX_ELL, 1, -1) if is_prime(p))
+    assert 1 + (top + 1) <= od._MAX_TREE_NODES
+    assert 1 + 102 * 102 <= od._MAX_TREE_NODES
 
 
 def test_isogeny_degree_bookkeeping():

@@ -1,5 +1,6 @@
 """Property tests: coordinates, membership and indices over canonical bases
-against a matrix-inverse reference."""
+against a matrix-inverse reference, and the Hermite forms against the stacked
+integer HNF and against sympy."""
 
 from fractions import Fraction
 
@@ -75,3 +76,63 @@ def test_triangular_routine_matches_inverse_reference(case):
     else:
         with pytest.raises(PreconditionError):
             la.lattice_index(A, M)
+
+
+@st.composite
+def mod_case(draw):
+    """(ell, m = ell^k, M): 0-6 rows of width 1-4 with zero rows, multiples
+    of ell and entries out to +-3m."""
+    ell = draw(st.sampled_from([2, 3, 5, 7, 13]))
+    m = ell ** draw(st.integers(1, 4))
+    n = draw(st.integers(1, 4))
+    entry = st.one_of(st.integers(-3 * m, 3 * m),
+                      st.integers(-m, m).map(lambda x: ell * x))
+    row = st.one_of(st.just((0,) * n),
+                    st.tuples(*[entry] * n))
+    M = tuple(draw(st.lists(row, min_size=0, max_size=6)))
+    return ell, m, n, M
+
+
+@settings(max_examples=400, deadline=None)
+@given(mod_case())
+def test_hnf_mod_is_the_hnf_of_m_identity_plus_the_rows(case):
+    ell, m, n, M = case
+    mI = tuple(tuple(m * int(i == j) for j in range(n)) for i in range(n))
+    # with no rows the width comes from one zero row
+    got = la.hnf_mod(M or ((0,) * n,), ell, m)
+    assert got == la.hnf_basis(mI + M)
+
+
+@pytest.fixture(scope="module")
+def sympy_hnf():
+    pytest.importorskip("sympy")
+    from sympy import Matrix
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    def rows_basis(M):
+        # sympy's HNF is column-style: its columns span the column lattice
+        # of the input, so feed it M^T and read its columns as rows
+        H = hermite_normal_form(Matrix(M).T)
+        return Matrix(H).T
+    return rows_basis
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, 2).flatmap(lambda extra: st.lists(
+        st.tuples(*[st.integers(-20, 20)] * n),
+        min_size=n + extra, max_size=n + extra)))))
+def test_hnf_spans_the_lattice_of_sympys_hnf(sympy_hnf, case):
+    from sympy import Matrix
+    n, M = case
+    H = la.hnf(tuple(M))
+    top = tuple(row for row in H if any(row))
+    assume(len(top) == n)
+    S = sympy_hnf(M)
+    assert S.shape == (n, n)
+    # each basis lies in the other's lattice
+    assert all(la.lattice_contains(top, tuple(int(x) for x in S.row(i)))
+               for i in range(n))
+    X = Matrix(top) * S.inv()
+    assert all(x.is_integer for x in X)
+    assert la.hnf_index(top) == abs(S.det())

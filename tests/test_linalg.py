@@ -74,6 +74,60 @@ def brute_kernel_mod_p(M, p):
     return set(out)
 
 
+def hnf_with_transform(M):
+    """(H, U) with H = U*M the frozen-convention HNF and U unimodular: the
+    earlier production hnf, which carried U through every row operation."""
+    m = len(M)
+    n = len(M[0]) if m else 0
+    H = [list(row) for row in M]
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        for i in range(r + 1, m):
+            if H[i][c] == 0:
+                continue
+            a, b = H[r][c], H[i][c]
+            if a != 0 and b % a == 0:
+                q = b // a
+                H[i] = [v - q * u for u, v in zip(H[r], H[i])]
+                U[i] = [v - q * u for u, v in zip(U[r], U[i])]
+                continue
+            g, x, y = la.xgcd(a, b)
+            p, q = -(b // g), a // g
+            hr, hi = H[r], H[i]
+            H[r] = [x * u + y * v for u, v in zip(hr, hi)]
+            H[i] = [p * u + q * v for u, v in zip(hr, hi)]
+            ur, ui = U[r], U[i]
+            U[r] = [x * u + y * v for u, v in zip(ur, ui)]
+            U[i] = [p * u + q * v for u, v in zip(ur, ui)]
+        if H[r][c] == 0:
+            continue
+        if H[r][c] < 0:
+            H[r] = [-x for x in H[r]]
+            U[r] = [-x for x in U[r]]
+        piv = H[r][c]
+        for i in range(r):
+            q = H[i][c] // piv
+            if q:
+                H[i] = [u - q * v for u, v in zip(H[i], H[r])]
+                U[i] = [u - q * v for u, v in zip(U[i], U[r])]
+        r += 1
+    return tuple(tuple(row) for row in H), tuple(tuple(row) for row in U)
+
+
+def congruence_kernel_oracle(f, m):
+    """{t : t . f == 0 mod m} from the transform of the column HNF of f:
+    its first row scaled by m / gcd(g, m), then the rows that kill f."""
+    n = len(f)
+    H, U = hnf_with_transform(tuple((x,) for x in f))
+    g = H[0][0] if H and H[0] else 0
+    m1 = m // gcd(g, m)
+    rows = [tuple(m1 * x for x in U[0])] + [tuple(U[i]) for i in range(1, n)]
+    return la.hnf_basis(tuple(rows), expect_rank=n)
+
+
 def random_unimodular(rng, n):
     U = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(3 * n):
@@ -90,15 +144,17 @@ def random_unimodular(rng, n):
 
 def test_hnf_identity_fixed():
     I4 = la.identity(4)
-    H, U = la.hnf(I4)
+    H, U = hnf_with_transform(I4)
     assert H == I4 and U == I4
+    assert la.hnf(I4) == H
 
 
 def test_hnf_diag_fixed():
     M = la.imat([[2, 0], [0, 1]])
-    H, U = la.hnf(M)
+    H, U = hnf_with_transform(M)
     assert H == M
     assert U == la.identity(2)
+    assert la.hnf(M) == H
 
 
 def test_hnf_structure_and_transform():
@@ -107,7 +163,8 @@ def test_hnf_structure_and_transform():
         m = rng.randint(1, 5)
         n = rng.randint(1, 5)
         M = tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(m))
-        H, U = la.hnf(M)
+        H, U = hnf_with_transform(M)
+        assert la.hnf(M) == H
         assert la.mat_mul(U, M) == H
         assert abs(la.det(U)) == 1
         # echelon: pivot columns strictly increase, zero rows at the bottom
@@ -141,15 +198,56 @@ def test_hnf_unique_per_row_lattice():
             if la.det(M) != 0:
                 break
         V = random_unimodular(rng, n)
-        H1, _ = la.hnf(M)
-        H2, _ = la.hnf(la.mat_mul(V, M))
+        H1, _ = hnf_with_transform(M)
+        H2, _ = hnf_with_transform(la.mat_mul(V, M))
         assert H1 == H2
+        assert la.hnf(M) == H1 and la.hnf(la.mat_mul(V, M)) == H2
 
 
 def test_hnf_basis_rank_guard():
     with pytest.raises(RankError):
         la.hnf_basis(la.imat([[1, 2], [2, 4]]))
     assert la.hnf_basis(la.imat([[1, 2], [2, 4]]), expect_rank=1) == ((1, 2),)
+
+
+def test_hnf_mod_fixed_values():
+    # 2 (1, 1) and 4 e_1 span the column-1 annihilator that a plain
+    # echelon mod 8 would miss: 4 (1, 1) = (4, 4) = (4, 0) mod 8
+    assert la.hnf_mod(((2, 2),), 2, 8) == ((2, 2), (0, 8))
+    assert la.hnf_mod(((4, 2),), 2, 8) == ((4, 2), (0, 4))
+    assert la.hnf_mod(((0, 0, 0),), 3, 9) == ((9, 0, 0), (0, 9, 0), (0, 0, 9))
+    assert la.hnf_mod(((5, 7), (-3, 14)), 7, 7) == ((1, 0), (0, 7))
+
+
+def test_hnf_mod_matches_hnf_of_the_stacked_lattice():
+    rng = random.Random(71)
+    for _ in range(400):
+        ell = rng.choice([2, 3, 5, 7, 613])
+        m = ell ** rng.randint(1, 4)
+        n = rng.randint(1, 4)
+        M = tuple(tuple(rng.choice([0, rng.randint(-3 * m, 3 * m),
+                                    ell * rng.randint(-m, m)])
+                        for _ in range(n)) for _ in range(rng.randint(1, 6)))
+        mI = tuple(tuple(m * int(i == j) for j in range(n)) for i in range(n))
+        assert la.hnf_mod(M, ell, m) == la.hnf_basis(mI + M), (ell, m, M)
+
+
+def test_mat_inv_mod_matches_the_fraction_inverse():
+    rng = random.Random(73)
+    for _ in range(200):
+        p = rng.choice([2, 3, 5, 101])
+        m = p ** rng.randint(1, 4)
+        n = rng.randint(1, 4)
+        M = tuple(tuple(rng.randint(-2 * m, 2 * m) for _ in range(n))
+                  for _ in range(n))
+        d = la.det(M)
+        if d % p == 0:
+            with pytest.raises(RankError):
+                la.mat_inv_mod(M, m)
+            continue
+        want = tuple(tuple(x.numerator * pow(x.denominator, -1, m) % m
+                           for x in row) for row in la.mat_inv(M))
+        assert la.mat_inv_mod(M, m) == want
 
 
 # ---------------------------------------------------------------- SNF
@@ -324,6 +422,7 @@ def test_congruence_kernel_index_and_membership():
         m = rng.choice([2, 3, 4, 5, 6])
         f = tuple(rng.randint(-7, 7) for _ in range(n))
         K = la.congruence_kernel(f, m)
+        assert K == congruence_kernel_oracle(f, m)
         for row in K:
             assert sum(a * b for a, b in zip(row, f)) % m == 0
         g = 0

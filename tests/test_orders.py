@@ -141,6 +141,24 @@ def test_splitting_data_is_an_isomorphism():
                     - int(x.nrd())) % m == 0
 
 
+def test_splitting_inverse_is_integer_and_matches_the_fraction_inverse(
+        monkeypatch):
+    cases = [(max_order(-1, 3), 5, 3), (max_order(-1, 3), 1009, 1),
+             (max_order(-2, 5), 101, 2), (max_order(1, 1), 2, 4)]
+
+    def no_fractions(M):
+        raise AssertionError("splitting_data inverted over the rationals")
+    with monkeypatch.context() as mp:
+        mp.setattr(la, "mat_inv", no_fractions)
+        got = [od.splitting_data(O, ell, k) for O, ell, k in cases]
+    for th in got:
+        m = th.modulus
+        want = la.mat_inv([sum(img, ()) for img in th.images])
+        assert th.inverse == tuple(
+            tuple(x.numerator * pow(x.denominator, -1, m) % m for x in row)
+            for row in want)
+
+
 def test_splitting_data_deterministic_per_seed():
     O = max_order(-2, 5)
     assert od.splitting_data(O, 3, 2) == od.splitting_data(O, 3, 2)
