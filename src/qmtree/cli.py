@@ -155,7 +155,7 @@ def _built_order(args):
 def cmd_ideals_norml(args) -> int:
     O = _built_order(args)
     ideals = od.left_ideals_of_norm(O, args.l, seed=_seed(args))
-    ideals.sort(key=lambda I: I.order_coords())
+    ideals.sort(key=lambda I: I.order_coords)
     _emit({
         "ell": args.l,
         "count": len(ideals),

@@ -60,7 +60,7 @@ class IsogenyDegree:
 
 def isogeny_degree(I: LeftIdeal) -> IsogenyDegree:
     n = I.norm()
-    c = la.content(I.order_coords())
+    c = la.content(I.order_coords)
     if n % (c * c) != 0:
         raise InvariantError("content does not divide the norm structure")
     n0 = n // (c * c)
@@ -84,12 +84,8 @@ def build_ideal_tree(order: Order, ell: int, depth: int,
     if (D * eichler_level(order)) % ell == 0:
         raise PreconditionError(
             f"{ell} divides the discriminant or the level")
-    cleared = la.clear_denominators(order.basis)
-    root_ideal = LeftIdeal._from_cleared(order, cleared, la.identity(4))
-    nodes: List[IdealNode] = [IdealNode(root_ideal, 0, None, (),
-                                        ((1, 0), (0, 1)))]
-    # order coordinates of each node's ideal, in HNF
-    coords: List[la.IntMatrix] = [la.identity(4)]
+    root = LeftIdeal.from_order_coords(order, la.identity(4))
+    nodes = [IdealNode(root, 0, None, (), ((1, 0), (0, 1)))]
     # one splitting serves every level: a node at depth k needs its images
     # mod ell^k only, and lower precisions are reductions of this one
     th = splitting_data(order, ell, depth, seed) if depth else None
@@ -104,22 +100,19 @@ def build_ideal_tree(order: Order, ell: int, depth: int,
             if len(kept) != expect:
                 raise InvariantError("wrong number of primitive steps")
             children = []
+            P = node.ideal.order_coords
             for L in kept:
                 R = _pullback(th, L)
-                J = LeftIdeal._from_cleared(order, cleared, R)
+                J = LeftIdeal.from_order_coords(order, R)
                 if la.hnf_index(R) != ell ** (2 * k + 2):
                     raise InvariantError("child ideal has the wrong norm")
-                if not node.ideal.order.contains_lattice(J.lattice):
-                    raise InvariantError("child left the order")
-                if (not all(la.lattice_contains(coords[idx], row) for row in R)
-                        or la.hnf_index(R)
-                        != la.hnf_index(coords[idx]) * ell * ell):
+                if (not all(la.lattice_contains(P, row) for row in R)
+                        or la.hnf_index(R) != la.hnf_index(P) * ell * ell):
                     raise InvariantError("child is not an index-ell^2 step")
                 if la.content(R) != 1:
                     raise InvariantError("child ideal is imprimitive")
                 child = len(nodes)
                 nodes.append(IdealNode(J, k + 1, idx, (), L))
-                coords.append(R)
                 children.append(child)
             node.children = tuple(children)
             nxt.extend(children)

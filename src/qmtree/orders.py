@@ -2,17 +2,18 @@
 
 Lattices are 4x4 rational row matrices over the ambient basis (1, i, j, k),
 always stored in canonical form, so equality of objects is equality of
-lattices.  The two workhorse constructions are the left/right order of a
-lattice (an integrality computation) and the pullback of a local lattice
-to a left ideal through an explicit local splitting O (x) Z_ell ~ M2(Z_ell).
+lattices.  A left ideal also carries its integer HNF over its order.  The
+two workhorse constructions are the left/right order of a lattice (an
+integrality computation) and the pullback of a local lattice to a left
+ideal through an explicit local splitting O (x) Z_ell ~ M2(Z_ell).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd, isqrt
 from operator import mul
@@ -89,8 +90,10 @@ class Order:
         """Coordinates of x over the order basis (Fractions)."""
         return tuple(la.triangular_coords(self.basis, x.coeffs))
 
-    def contains_lattice(self, rows) -> bool:
-        return all(la.lattice_contains(self.basis, r) for r in rows)
+    @cached_property
+    def cleared(self) -> Tuple[la.IntMatrix, int]:
+        """(B, d) with basis = B/d and B an integer HNF, cleared once."""
+        return la.clear_denominators(self.basis)
 
     def validate(self) -> None:
         bad = order_diagnostics(self.algebra, self.basis)
@@ -582,45 +585,47 @@ def eichler_level(order: Order) -> int:
 
 @dataclass(frozen=True)
 class LeftIdeal:
-    """A full lattice I with O*I <= I for the stated order."""
+    """A full lattice I with O*I <= I for the stated order, held as its
+    canonical lattice and as order_coords, its integer HNF over O's basis."""
 
     order: Order
     lattice: la.RatMatrix
+    order_coords: la.IntMatrix = field(compare=False, repr=False)
 
     def __init__(self, order: Order, rows):
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "lattice", la.lattice_canonical(rows))
+        """Spanned by ambient rows; derives order_coords (InvariantError if
+        the rows leave the order)."""
+        lattice = la.lattice_canonical(rows)
+        X, d = la.clear_denominators(
+            [la.triangular_coords(order.basis, r) for r in lattice])
+        if d != 1:
+            raise InvariantError("ideal is not inside its order")
+        self._fill(order, lattice, la.hnf_basis(X))
 
     @classmethod
     def from_order_coords(cls, order: Order, R: la.IntMatrix) -> "LeftIdeal":
-        """The ideal spanned by the integer rows R over the order basis.
-
-        Its lattice is hnf(R B)/d for (B, d) = clear_denominators(basis),
-        which is lattice_canonical(R * basis) since hnf(kM) = k hnf(M).
-        """
-        return cls._from_cleared(order, la.clear_denominators(order.basis), R)
-
-    @classmethod
-    def _from_cleared(cls, order: Order, cleared, R: la.IntMatrix):
-        """from_order_coords with (B, d) = clear_denominators(order.basis)
-        given, so that a run of ideals over one order clears it once."""
-        B, d = cleared
+        """The ideal with the 4x4 integer HNF R over the order basis (else
+        InvariantError); its lattice is hnf(R B)/d, (B, d) = order.cleared."""
+        # unrolled, as this runs once per norm-ell line
+        ((r00, r01, r02, r03), (r10, r11, r12, r13),
+         (r20, r21, r22, r23), (r30, r31, r32, r33)) = R
+        if (r10 or r20 or r21 or r30 or r31 or r32 or r00 <= 0 or not (
+                0 <= r01 < r11 and 0 <= r02 < r22 and 0 <= r12 < r22
+                and 0 <= r03 < r33 and 0 <= r13 < r33 and 0 <= r23 < r33)):
+            raise InvariantError("order coordinates are not in Hermite form")
+        B, d = order.cleared
         H = la.hnf_basis(la.mat_mul(R, B))
-        I = object.__new__(cls)
-        object.__setattr__(I, "order", order)
-        object.__setattr__(I, "lattice", tuple(
-            tuple(Fraction(x, d) for x in row) for row in H))
-        return I
+        return object.__new__(cls)._fill(order, tuple(
+            tuple(Fraction(x, d) for x in row) for row in H), R)
 
-    def order_coords(self) -> la.IntMatrix:
-        X = tuple(tuple(la.triangular_coords(self.order.basis, r))
-                  for r in self.lattice)
-        if any(t.denominator != 1 for row in X for t in row):
-            raise InvariantError("ideal is not inside its order")
-        return la.hnf_basis(tuple(tuple(int(t) for t in row) for row in X))
+    def _fill(self, order: Order, lattice, coords) -> "LeftIdeal":
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "order_coords", coords)
+        return self
 
     def index_in_order(self) -> int:
-        return la.hnf_index(self.order_coords())
+        return la.hnf_index(self.order_coords)
 
     def norm(self) -> int:
         idx = self.index_in_order()
@@ -630,7 +635,7 @@ class LeftIdeal:
         return r
 
     def is_primitive(self) -> bool:
-        return la.content(self.order_coords()) == 1
+        return la.content(self.order_coords) == 1
 
     def is_left_ideal(self) -> bool:
         A = self.order.algebra
@@ -712,13 +717,12 @@ def left_ideals_of_norm(order: Order, ell: int,
                 if I.is_primitive()]
     _check_line_count(ell)
     th = splitting_data(order, ell, 1, seed)
-    cleared = la.clear_denominators(order.basis)
     out = []
     for L in [((-t, 1), (ell, 0)) for t in range(ell)] + [((-1, 0), (0, ell))]:
         R = _pullback(th, L)
         if la.hnf_index(R) != ell * ell:
             raise InvariantError("line pullback has the wrong norm")
-        out.append(LeftIdeal._from_cleared(order, cleared, R))
+        out.append(LeftIdeal.from_order_coords(order, R))
     return out
 
 
@@ -738,7 +742,6 @@ def enumerate_left_ideals(order: Order, n: int) -> List[LeftIdeal]:
         raise ResourceError(f"norm {n} exceeds the enumeration guard (13)")
     # columns of each M_t, so a row's image is one dot product per column
     cols = [tuple(zip(*Mt)) for Mt in structure_matrices(order)]
-    cleared = la.clear_denominators(order.basis)
     divs = _divisors(n)
     target = n * n
     found = []
@@ -755,8 +758,7 @@ def enumerate_left_ideals(order: Order, n: int) -> List[LeftIdeal]:
                 H[i][j] = x
             if all(la.lattice_contains(H, [sum(map(mul, row, c)) for c in C])
                    for C in cols for row in H):
-                found.append(LeftIdeal._from_cleared(order, cleared,
-                                                     la.imat(H)))
+                found.append(LeftIdeal.from_order_coords(order, la.imat(H)))
     return found
 
 
@@ -826,7 +828,10 @@ def ideal_from_json(d) -> LeftIdeal:
     if bad:
         raise ValidationError("leftOrder is not an order: " + "; ".join(bad))
     O = Order(A, B)
-    I = LeftIdeal(O, _basis_from_json(d["basis"]))
+    L = _basis_from_json(d["basis"])
+    if not all(la.lattice_contains(O.basis, r) for r in L):
+        raise ValidationError("lattice is not inside the order")
+    I = LeftIdeal(O, L)
     if not I.is_left_ideal():
         raise ValidationError("lattice is not a left ideal of the order")
     return I

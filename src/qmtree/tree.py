@@ -281,7 +281,7 @@ def _localize(I: LeftIdeal, th: SplittingData) -> TreeVertex:
     """
     ell, k = th.ell, th.k
     _check_prime(ell)
-    H = I.order_coords()
+    H = I.order_coords
     # [O : I] = nrd(I)^2
     if valuation(la.hnf_index(H), ell) >= 2 * k:
         raise PreconditionError("splitting precision too low for this ideal")

@@ -64,3 +64,19 @@ def test_tracer_installs_and_restores_the_layer_functions(spans):
     for name, attrs in before.items():
         now = vars(sys.modules[name])
         assert all(now[k] is v for k, v in attrs.items()), name
+
+
+def test_ideal_lattices_read_by_the_workloads():
+    """perfbench/workloads.py hands O.basis and the lattice of each ideal of
+    left_ideals_of_norm to its oracles: 4x4 tuples of canonical Fractions."""
+    from fractions import Fraction
+
+    from qmtree import QuaternionAlgebra
+    from qmtree import linalg as la
+    from qmtree import orders as od
+    O = od.maximal_order(QuaternionAlgebra(-1, 3))
+    for M in [O.basis] + [I.lattice for I in od.left_ideals_of_norm(O, 7)]:
+        assert type(M) is tuple and len(M) == 4
+        assert all(type(row) is tuple and len(row) == 4 for row in M)
+        assert all(type(x) is Fraction for row in M for x in row)
+        assert la.lattice_canonical(M) == M

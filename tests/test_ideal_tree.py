@@ -27,9 +27,18 @@ def split_tree(depth):
     return it.build_ideal_tree(max_order(1, 1), 2, depth)
 
 
+def order_coords_oracle(I):
+    """The former LeftIdeal.order_coords() derivation from the lattice."""
+    X = [tuple(la.triangular_coords(I.order.basis, r)) for r in I.lattice]
+    assert all(t.denominator == 1 for row in X for t in row)
+    return la.hnf_basis(tuple(tuple(int(t) for t in row) for row in X))
+
+
 def test_tree_shape_at_five():
     tr = it.build_ideal_tree(max_order(-1, 3), 5, 2)
     assert [len(tr.level(k)) for k in range(3)] == [1, 6, 30]
+    for node in tr.nodes:
+        assert node.ideal.order_coords == order_coords_oracle(node.ideal)
     assert len(tr.nodes) == 37
     for i in tr.level(1):
         assert tr.nodes[i].parent == 0
@@ -86,6 +95,8 @@ def test_tree_on_eichler_order():
     E = od.eichler_order(max_order(-1, 3), 7)
     tr = it.build_ideal_tree(E, 5, 1)
     assert len(tr.level(1)) == 6
+    for node in tr.nodes:
+        assert node.ideal.order_coords == order_coords_oracle(node.ideal)
     assert it.verify_tree_isomorphism(tr)["ok"]
 
 

@@ -66,7 +66,7 @@ def test_maximal_order_contains_standard():
     for a, b in [(-1, -1), (-1, 3), (-2, 5), (1, 1)]:
         O0 = od.standard_order(alg(a, b))
         O = od.maximal_order(alg(a, b))
-        assert O.contains_lattice(O0.basis)
+        assert all(la.lattice_contains(O.basis, r) for r in O0.basis)
 
 
 def test_discriminant_index_relation():
@@ -326,7 +326,8 @@ def test_eichler_order_composite_level():
     # deterministic for a fixed seed
     assert E == od.eichler_order(O, 35)
     # the level-5 constraint alone gives an intermediate order
-    assert od.eichler_order(O, 5).contains_lattice(E.basis)
+    E5 = od.eichler_order(O, 5)
+    assert all(la.lattice_contains(E5.basis, r) for r in E.basis)
 
 
 def test_eichler_order_preconditions():
@@ -425,6 +426,51 @@ def test_norm_ideal_lattices_match_fraction_products():
             assert I.lattice == want, (ell, v)
             assert I.index_in_order() == la.rat_lattice_index(O.basis,
                                                               I.lattice)
+
+
+def order_coords_oracle(I):
+    """The former LeftIdeal.order_coords() derivation: coordinates of each
+    lattice row over the order basis by forward substitution, then an HNF."""
+    X = [tuple(la.triangular_coords(I.order.basis, r)) for r in I.lattice]
+    assert all(t.denominator == 1 for row in X for t in row)
+    return la.hnf_basis(tuple(tuple(int(t) for t in row) for row in X))
+
+
+@pytest.mark.parametrize("ell", [2, 5, 7, 613])
+def test_norm_ideal_order_coords_match_the_lattice(ell):
+    for I in od.left_ideals_of_norm(max_order(-1, 3), ell):
+        assert I.order_coords == order_coords_oracle(I)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_enumerated_order_coords_match_the_lattice(n):
+    for I in od.enumerate_left_ideals(max_order(-1, 3), n):
+        assert I.order_coords == order_coords_oracle(I)
+
+
+HNF = ((1, 0, 2, 3), (0, 1, 4, 0), (0, 0, 5, 0), (0, 0, 0, 5))
+
+
+@pytest.mark.parametrize("R", [
+    (HNF[1], HNF[0], HNF[2], HNF[3]),
+    HNF[:3] + ((0, 0, 0, -5),),
+    ((1, 0, 7, 3),) + HNF[1:],
+    (HNF[0], (0, 1, -1, 0)) + HNF[2:],
+], ids=["swapped-rows", "negative-pivot", "above-pivot-too-large",
+        "above-pivot-negative"])
+def test_from_order_coords_rejects_non_hermite_forms(R):
+    O = max_order(-1, 3)
+    assert od.LeftIdeal.from_order_coords(O, HNF).order_coords == HNF
+    with pytest.raises(InvariantError, match="Hermite"):
+        od.LeftIdeal.from_order_coords(O, R)
+
+
+def test_ambient_ideal_outside_its_order_is_refused_at_construction():
+    O = max_order(-1, 3)
+    with pytest.raises(InvariantError, match="not inside its order"):
+        od.LeftIdeal(O, la.mat_scale(Fraction(1, 2), O.basis))
+    with pytest.raises(InvariantError, match="not inside its order"):
+        od.principal_ideal(O, O.algebra.element(Fraction(1, 3)))
 
 
 def explicit_right_order(A, rows):
@@ -557,6 +603,12 @@ def test_json_validation_errors():
     dd["basis"][0][0] = "1/7"
     with pytest.raises(ValidationError):
         od.ideal_from_json(dd)
+    # half the order is a left ideal of it, but not inside it
+    half = {"algebra": good["algebra"], "leftOrder": good["basis"],
+            "basis": [[str(Fraction(x) / 2) for x in row]
+                      for row in good["basis"]]}
+    with pytest.raises(ValidationError, match="not inside the order"):
+        od.ideal_from_json(half)
 
 
 def test_singular_basis_is_a_validation_error():

@@ -1,7 +1,8 @@
 """Property tests for the lattice-class tree: closed-form neighbors against
 canonicalizing every index-ell sublattice, canonical forms under changes of
-basis and scaling, the path laws of geodesic and distance, and localization
-as the inverse of the pullback from vertices to ideals."""
+basis and scaling, the path laws of geodesic and distance, localization as
+the inverse of the pullback from vertices to ideals, and the laws of the
+center of a vertex set."""
 
 import functools
 from fractions import Fraction
@@ -12,6 +13,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qmtree import center
 from qmtree import linalg as la
 from qmtree import orders as od
 from qmtree import tree as bt
@@ -112,3 +114,43 @@ def test_localize_inverts_the_pullback(key, v):
     th = od.splitting_data(O, ell, od.valuation(a * d, ell) + 1)
     I = od.LeftIdeal.from_order_coords(O, od._pullback(th, v.mat))
     assert bt._localize(I, th) == v
+
+
+@st.composite
+def vertex_set(draw):
+    """One to seven vertices at one small prime."""
+    ell = draw(st.sampled_from([2, 3, 5, 7]))
+    return draw(st.lists(vertex_at(ell), min_size=1, max_size=7))
+
+
+@settings(max_examples=200, deadline=None)
+@given(vertex_set())
+def test_center_lies_on_every_diametral_geodesic(S):
+    c = center.tree_center(S)
+    dist = {(u, v): bt.distance(u, v) for u in S for v in S}
+    diam = max(dist.values())
+    for (u, v), d in dist.items():
+        if d == diam:
+            assert set(c.vertices) <= set(bt.geodesic(u, v)), (u, v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(vertex_set(), st.randoms(use_true_random=False))
+def test_center_ignores_the_order_of_the_set(S, rnd):
+    shuffled = list(S)
+    rnd.shuffle(shuffled)
+    assert center.tree_center(shuffled) == center.tree_center(S)
+
+
+@settings(max_examples=150, deadline=None)
+@given(vertex_set(), nonsingular())
+def test_center_commutes_with_tree_isometries(S, g):
+    ell = S[0].ell
+
+    def move(v):
+        return bt.canonicalize(ell, la.mat_mul(v.mat, g))
+
+    c = center.tree_center(S)
+    moved = center.tree_center([move(v) for v in S])
+    assert moved.kind == c.kind
+    assert moved.vertices == tuple(sorted(move(v) for v in c.vertices))
