@@ -2,16 +2,18 @@
 
 Lattices are 4x4 rational row matrices over the ambient basis (1, i, j, k),
 always stored in canonical form, so equality of objects is equality of
-lattices.  A left ideal also carries its integer HNF over its order.  The
-two workhorse constructions are the left/right order of a lattice (an
-integrality computation) and the pullback of a local lattice to a left
-ideal through an explicit local splitting O (x) Z_ell ~ M2(Z_ell).
+lattices.  A left ideal is held as its integer HNF over its order, and its
+lattice is derived on first read; products inside an order run on integer
+coordinates through its multiplication table.  The two workhorse
+constructions are the left/right order of a lattice (an integrality
+computation) and the pullback of a local lattice to a left ideal through an
+explicit local splitting O (x) Z_ell ~ M2(Z_ell).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
@@ -146,8 +148,9 @@ def reduced_discriminant(order: Order) -> int:
     return r
 
 
-def structure_matrices(order: Order) -> Tuple[la.IntMatrix, ...]:
-    """M_t with row j = order-coordinates of e_t * e_j (integral by closure)."""
+def _mult_table(order: Order) -> Tuple[la.IntMatrix, ...]:
+    """T with row j of T[t] = order coordinates of e_t * e_j (integral by
+    closure): the order's integer structure constants."""
     elts = order.elements()
     out = []
     for x in elts:
@@ -159,6 +162,25 @@ def structure_matrices(order: Order) -> Tuple[la.IntMatrix, ...]:
             rows.append(tuple(int(t) for t in c))
         out.append(tuple(rows))
     return tuple(out)
+
+
+def _mul(T, x, y, m: int = 0) -> Tuple[int, ...]:
+    """Order coordinates of the product of the elements with order
+    coordinates x and y, through the table T; reduced mod m if m."""
+    out = [0, 0, 0, 0]
+    for xt, Mt in zip(x, T):
+        if xt:
+            for yj, row in zip(y, Mt):
+                c = xt * yj
+                if c:
+                    for s in range(4):
+                        out[s] += c * row[s]
+    return tuple(v % m for v in out) if m else tuple(out)
+
+
+def _unit_coords(order: Order) -> Tuple[int, ...]:
+    """Order coordinates of 1."""
+    return tuple(int(t) for t in order.coords(order.algebra.one()))
 
 
 def _from_order_coords(order: Order, rows) -> la.RatMatrix:
@@ -314,57 +336,51 @@ def _lex_split_elements(form, ell: int):
     return walk(())
 
 
-def _split_idempotent(order: Order, c, roots, ell: int, k: int):
+def _split_idempotent(T, one, c, roots, ell: int, k: int) -> Tuple[int, ...]:
     """Order coordinates mod ell^k of an idempotent lifting (x - s)/(r - s)
-    for the split element x with coordinates c and char roots (r, s)."""
+    for the split element x with coordinates c and char roots (r, s), given
+    the table T and the coordinates one of 1: the Hensel step
+    e -> 3e^2 - 2e^3 doubles the precision."""
     r, s = roots
-    inv = pow(r - s, -1, ell)
-    e0 = tuple((ci - s * int(oc)) * inv % ell
-               for ci, oc in zip(c, order.coords(order.algebra.one())))
-    return _lift_idempotent(order, e0, ell, k)
-
-
-def _lift_idempotent(order: Order, coords, ell: int, k: int):
-    """Hensel-lift order-coordinates of an idempotent mod ell to mod ell^k."""
-    A = order.algebra
     mod = ell ** k
-    e = _elt(A, la.mat_mul((tuple(coords),), order.basis)[0])
+    inv = pow(r - s, -1, ell)
+    e = tuple((ci - s * u) * inv % ell for ci, u in zip(c, one))
     prec = 1
     while prec < k:
-        e = 3 * (e * e) - 2 * (e * e * e)
+        e2 = _mul(T, e, e, mod)
+        e = tuple((3 * a - 2 * b) % mod
+                  for a, b in zip(e2, _mul(T, e2, e, mod)))
         prec *= 2
-        c = tuple(int(t) % mod for t in order.coords(e))
-        e = _elt(A, la.mat_mul((c,), order.basis)[0])
-    c = tuple(int(t) % mod for t in order.coords(e))
-    if any(int(t) % mod for t in order.coords(e * e - e)):
-        raise InvariantError("idempotent lift failed")
-    return c
+    if _mul(T, e, e, mod) != e:
+        raise InvariantError(f"idempotent lift failed mod {ell}^{k}")
+    return e
 
 
 def _hereditary_split(order: Order, ell: int) -> Order:
     """One step up from a hereditary non-maximal spot: ell exactly divides
     the discriminant but the algebra is split at ell.  Radical idealizing
     stalls here, so climb via a nontrivial idempotent e of O/ell O and
-    adjoin (1/ell) e O (1-e) (or the mirror image)."""
-    A = order.algebra
-    elts = order.elements()
-    d = reduced_discriminant(order)
+    adjoin (1/ell) e O (1-e) (or the mirror image).
+
+    Over O's basis the candidate is H/ell, H the HNF of ell Z^4 plus the
+    coordinates of e O (1-e), so e is needed mod ell only.  It is an order
+    iff products of rows of H lie in ell H, and then an index-ell overorder
+    (det H = ell^3) has reduced discriminant d(O)/ell."""
+    T = _mult_table(order)
+    one = _unit_coords(order)
+    units = la.identity(4)
     for c, roots in _lex_split_elements(_trace_norm_form(order), ell):
-        ec = _split_idempotent(order, c, roots, ell, 4)
-        e = _elt(A, la.mat_mul((ec,), order.basis)[0])
-        f = A.one() - e
+        e = _split_idempotent(T, one, c, roots, ell, 1)
+        f = tuple(u - x for u, x in zip(one, e))
         for left, right in ((e, f), (f, e)):
-            rows = [tuple(Fraction(int(v == i)) for v in range(4))
-                    for i in range(4)]
-            for g in elts:
-                w = left * g * right
-                rows.append(tuple(Fraction(t, ell) for t in order.coords(w)))
-            cand_rows = _from_order_coords(order, la.rmat(rows))
-            if order_diagnostics(A, cand_rows):
-                continue
-            cand = Order(A, cand_rows)
-            if reduced_discriminant(cand) == d // ell:
-                return cand
+            H = la.hnf_mod([_mul(T, _mul(T, left, g), right) for g in units],
+                           ell, ell)
+            ellH = la.mat_scale(ell, H)
+            if la.hnf_index(H) == ell ** 3 and all(
+                    la.lattice_contains(ellH, _mul(T, x, y))
+                    for x in H for y in H):
+                return Order(order.algebra, _from_order_coords(
+                    order, [[Fraction(x, ell) for x in row] for row in H]))
     raise InvariantError(f"no hereditary enlargement found at {ell}")
 
 
@@ -407,7 +423,7 @@ def maximal_order(A: QuaternionAlgebra) -> Order:
 @dataclass(frozen=True)
 class SplittingData:
     """An isomorphism O (x) Z/ell^k ~ M2(Z/ell^k), stored as the images of
-    the order basis.  apply() is the induced map on arbitrary elements."""
+    the order basis."""
 
     order: Order
     ell: int
@@ -418,12 +434,6 @@ class SplittingData:
     @property
     def modulus(self) -> int:
         return self.ell ** self.k
-
-    def apply(self, x: QuatElement) -> Mat2:
-        c = self.order.coords(x)
-        if not all(t.denominator == 1 for t in c):
-            raise PreconditionError("element is not in the order")
-        return self.apply_coords(tuple(int(t) for t in c))
 
     def apply_coords(self, coords: Sequence[int]) -> Mat2:
         m = self.modulus
@@ -462,8 +472,7 @@ def splitting_data(order: Order, ell: int, k: int = 1,
     # higher-precision map a lift of the lower one, so localizations done at
     # different precisions land in consistent tree coordinates
     rng = random.Random(f"{seed}:{ell}")
-    elts = order.elements()
-    mod = ell ** k
+    mod, at = ell ** k, f"mod {ell}^{k}"
     form = _trace_norm_form(order)
 
     roots = None
@@ -475,66 +484,56 @@ def splitting_data(order: Order, ell: int, k: int = 1,
         if roots is not None:
             break
     if roots is None:
-        raise InvariantError(f"no split element found mod {ell}")
-    ec = _split_idempotent(order, c, roots, ell, k)
-    e = _elt(A, la.mat_mul((ec,), order.basis)[0])
+        raise InvariantError(f"no split element found {at}")
+    T = _mult_table(order)
+    one = _unit_coords(order)
+    units = la.identity(4)
+    e = _split_idempotent(T, one, c, roots, ell, k)
 
     # a basis of the column module O*e mod ell^k: e itself plus one g*e
-    cands = [e] + [g * e for g in elts]
-    pair = None
-    for i in range(len(cands)):
-        for j in range(i + 1, len(cands)):
-            M = (tuple(int(t) % ell for t in order.coords(cands[i])),
-                 tuple(int(t) % ell for t in order.coords(cands[j])))
-            rank2 = any((M[0][a] * M[1][b] - M[0][b] * M[1][a]) % ell
-                        for a in range(4) for b in range(4))
-            if rank2:
-                pair = (cands[i], cands[j])
-                break
-        if pair:
-            break
-    if pair is None:
-        raise InvariantError("no rank-2 basis of the splitting module")
-    v1, v2 = pair
-    V = tuple(tuple(int(t) % mod for t in order.coords(v)) for v in (v1, v2))
+    cands = [e] + [_mul(T, g, e, mod) for g in units]
+    V = next(((u, v) for i, u in enumerate(cands) for v in cands[i + 1:]
+              if any((u[a] * v[b] - u[b] * v[a]) % ell
+                     for a in range(4) for b in range(4))), None)
+    if V is None:
+        raise InvariantError(f"no rank-2 basis of the splitting module {at}")
     # pivot rows with a unit 2x2 minor
     piv = next(((a, b) for a in range(4) for b in range(4) if a != b and
                 (V[0][a] * V[1][b] - V[0][b] * V[1][a]) % ell), None)
     if piv is None:
-        raise InvariantError("splitting module basis has no unit minor")
+        raise InvariantError(f"splitting module basis has no unit minor {at}")
     a_, b_ = piv
     dmin = (V[0][a_] * V[1][b_] - V[0][b_] * V[1][a_]) % mod
     dinv = pow(dmin, -1, mod)
 
-    def express(w: QuatElement) -> Tuple[int, int]:
-        wc = tuple(int(t) % mod for t in order.coords(w))
+    def express(wc) -> Tuple[int, int]:
         c1 = (wc[a_] * V[1][b_] - wc[b_] * V[1][a_]) * dinv % mod
         c2 = (V[0][a_] * wc[b_] - V[0][b_] * wc[a_]) * dinv % mod
         for t in range(4):
             if (c1 * V[0][t] + c2 * V[1][t] - wc[t]) % mod:
-                raise InvariantError("splitting module is not free")
+                raise InvariantError(f"splitting module is not free {at}")
         return c1, c2
 
     images = []
-    for g in elts:
-        col1 = express(g * v1)
-        col2 = express(g * v2)
+    for g in units:
+        col1 = express(_mul(T, g, V[0], mod))
+        col2 = express(_mul(T, g, V[1], mod))
         images.append(((col1[0], col2[0]), (col1[1], col2[1])))
     # theta is onto mod ell iff ell does not divide det of the images
     try:
         inverse = la.mat_inv_mod([sum(img, ()) for img in images], mod)
     except RankError:
-        raise InvariantError("splitting is not bijective mod ell") from None
+        raise InvariantError(f"splitting is not bijective {at}") from None
     data = SplittingData(order, ell, k, tuple(images), inverse)
 
     # ring homomorphism and unitality, on the nose
-    if data.apply(A.one()) != ((1, 0), (0, 1)):
-        raise InvariantError("splitting does not send 1 to the identity")
+    if data.apply_coords(one) != ((1, 0), (0, 1)):
+        raise InvariantError(f"splitting does not send 1 to the identity {at}")
     # the basis elements map to their own images
-    for x, X in zip(elts, images):
-        for y, Y in zip(elts, images):
-            if data.apply(x * y) != _mat2_mul(X, Y, mod):
-                raise InvariantError("splitting is not multiplicative")
+    for Mt, X in zip(T, images):
+        for xy, Y in zip(Mt, images):
+            if data.apply_coords(xy) != _mat2_mul(X, Y, mod):
+                raise InvariantError(f"splitting is not multiplicative {at}")
     return data
 
 
@@ -585,27 +584,28 @@ def eichler_level(order: Order) -> int:
 
 @dataclass(frozen=True)
 class LeftIdeal:
-    """A full lattice I with O*I <= I for the stated order, held as its
-    canonical lattice and as order_coords, its integer HNF over O's basis."""
+    """A full lattice I with O*I <= I for the stated order, held as
+    order_coords, its integer HNF over O's basis.  Both are canonical, so
+    equality of objects is equality of ideals; the ambient lattice is
+    derived on first read."""
 
     order: Order
-    lattice: la.RatMatrix
-    order_coords: la.IntMatrix = field(compare=False, repr=False)
+    order_coords: la.IntMatrix
 
     def __init__(self, order: Order, rows):
         """Spanned by ambient rows; derives order_coords (InvariantError if
         the rows leave the order)."""
-        lattice = la.lattice_canonical(rows)
-        X, d = la.clear_denominators(
-            [la.triangular_coords(order.basis, r) for r in lattice])
+        X, d = la.clear_denominators([la.triangular_coords(order.basis, r)
+                                      for r in la.lattice_canonical(rows)])
         if d != 1:
             raise InvariantError("ideal is not inside its order")
-        self._fill(order, lattice, la.hnf_basis(X))
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "order_coords", la.hnf_basis(X))
 
     @classmethod
     def from_order_coords(cls, order: Order, R: la.IntMatrix) -> "LeftIdeal":
         """The ideal with the 4x4 integer HNF R over the order basis (else
-        InvariantError); its lattice is hnf(R B)/d, (B, d) = order.cleared."""
+        InvariantError)."""
         # unrolled, as this runs once per norm-ell line
         ((r00, r01, r02, r03), (r10, r11, r12, r13),
          (r20, r21, r22, r23), (r30, r31, r32, r33)) = R
@@ -613,16 +613,17 @@ class LeftIdeal:
                 0 <= r01 < r11 and 0 <= r02 < r22 and 0 <= r12 < r22
                 and 0 <= r03 < r33 and 0 <= r13 < r33 and 0 <= r23 < r33)):
             raise InvariantError("order coordinates are not in Hermite form")
-        B, d = order.cleared
-        H = la.hnf_basis(la.mat_mul(R, B))
-        return object.__new__(cls)._fill(order, tuple(
-            tuple(Fraction(x, d) for x in row) for row in H), R)
+        I = object.__new__(cls)
+        object.__setattr__(I, "order", order)
+        object.__setattr__(I, "order_coords", R)
+        return I
 
-    def _fill(self, order: Order, lattice, coords) -> "LeftIdeal":
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "order_coords", coords)
-        return self
+    @cached_property
+    def lattice(self) -> la.RatMatrix:
+        """The canonical ambient basis hnf(R B)/d, (B, d) = order.cleared."""
+        B, d = self.order.cleared
+        H = la.hnf_basis(la.mat_mul(self.order_coords, B))
+        return tuple(tuple(Fraction(x, d) for x in row) for row in H)
 
     def index_in_order(self) -> int:
         return la.hnf_index(self.order_coords)
@@ -638,14 +639,10 @@ class LeftIdeal:
         return la.content(self.order_coords) == 1
 
     def is_left_ideal(self) -> bool:
-        A = self.order.algebra
-        for g_row in self.order.basis:
-            g = _elt(A, g_row)
-            for h_row in self.lattice:
-                if not la.lattice_contains(self.lattice,
-                                           (g * _elt(A, h_row)).coeffs):
-                    return False
-        return True
+        """Whether e_t h lies in I for each e_t of O's basis and h of I's."""
+        T, R = _mult_table(self.order), self.order_coords
+        return all(la.lattice_contains(R, _mul(T, g, h))
+                   for g in la.identity(4) for h in R)
 
     def right_order(self) -> Order:
         """{x : I x <= I}, which is O_left(conj I): conjugation reverses
@@ -690,7 +687,8 @@ def two_sided_prime(order: Order, ell: int) -> LeftIdeal:
         raise PreconditionError(f"{ell} does not divide the discriminant")
     if valuation(reduced_discriminant(order), ell) != 1:
         raise PreconditionError(f"order is not maximal at {ell}")
-    P = LeftIdeal(order, radical_lattice(order, ell))
+    P = LeftIdeal.from_order_coords(
+        order, la.hnf_mod(radical_coords(order, ell), ell, ell))
     if P.norm() != ell:
         raise InvariantError("radical above a ramified prime has wrong norm")
     return P
@@ -741,7 +739,7 @@ def enumerate_left_ideals(order: Order, n: int) -> List[LeftIdeal]:
     if n > 13:
         raise ResourceError(f"norm {n} exceeds the enumeration guard (13)")
     # columns of each M_t, so a row's image is one dot product per column
-    cols = [tuple(zip(*Mt)) for Mt in structure_matrices(order)]
+    cols = [tuple(zip(*Mt)) for Mt in _mult_table(order)]
     divs = _divisors(n)
     target = n * n
     found = []

@@ -1,5 +1,6 @@
 """Command line behavior: output shapes, determinism, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -174,6 +175,42 @@ def test_ideals_oracle_guard(capsys):
     assert code == 4
     code, _ = run(capsys, "ideals", "oracle", "--n", "0")
     assert code == 3
+
+
+# sha256 of stdout, frozen before the orders layer moved to integer
+# coordinates; these commands reach _hereditary_split (at 2, 5 and 19 for
+# (-19, 5)), the splittings, the norm-ell pullbacks at split, ramified and
+# level primes, and the ideal tree
+FROZEN_DIGESTS = [
+    (["order", "maximal", "--a", "-19", "--b", "5"],
+     "fae2bdc9e192311575f8480bfa785fc38c280af8f54933d02948b62bff527467"),
+    (["order", "maximal", "--a", "3", "--b", "7"],
+     "a8093c7e096e51e626fc523175ebf979d3a833f660279821f86d0c2ef3a4e350"),
+    (["order", "eichler", "--level", "35", "--seed", "0"],
+     "a9cf26ea0c3a26b6681ab12c93047a73dfe32b3cd2e591959808f2a7f6c14b4d"),
+    (["order", "eichler", "--level", "35", "--seed", "7"],
+     "53d1506f7b21c54ba11b0e92d11387c343f50a0287223f29d7bbc6e753c29434"),
+    (["ideals", "norm-l", "--l", "2"],
+     "bd95d9ed8310fe7e428bf63c7c507c071f88391d15e8dd290e7779cf1b37d25e"),
+    (["ideals", "norm-l", "--l", "5"],
+     "ac71a3e963bfdabef352ee0da7f09d04cf1fa490c649ab5b04ea17f99708efc7"),
+    (["ideals", "norm-l", "--l", "613"],
+     "d0b794790616acfaaf0ae2668d30da6a31e39535003eef2d41f603622c680842"),
+    (["ideals", "norm-l", "--level", "35", "--l", "5"],
+     "45a02f7f9b91e0bc84259a4bdfb5173ec5825c822839627ddeea6c7dd842dc43"),
+    (["ideals", "tree", "--l", "5", "--depth", "2", "--verify", "--seed",
+      "7"],
+     "42dd8b112d15d3fc8e2dc706d973224b0521ee9e418482c47966151c11643347"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", FROZEN_DIGESTS,
+                         ids=[" ".join(a) for a, _ in FROZEN_DIGESTS])
+def test_output_is_byte_identical_to_the_frozen_digest(capsys, argv,
+                                                       digest):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # ------------------------------------------------------------------ bt

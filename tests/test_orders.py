@@ -15,7 +15,8 @@ import pytest
 from qmtree import linalg as la
 from qmtree import orders as od
 from qmtree.errors import (AlgebraError, InvariantError, PreconditionError,
-                           ResourceError, ValidationError)
+                           RankError, ResourceError, ValidationError)
+from qmtree.ideal_tree import build_ideal_tree
 from qmtree.quaternion import QuaternionAlgebra
 
 
@@ -122,20 +123,31 @@ def test_radical_of_nonmaximal_order_at_odd_prime():
 
 # ---------------------------------------------------------------- splitting
 
+def apply(th, x):
+    """theta(x) for an element x of th's order: its coordinates over the
+    order basis must be integral."""
+    c = th.order.coords(x)
+    assert all(t.denominator == 1 for t in c)
+    return th.apply_coords(tuple(int(t) for t in c))
+
+
 def test_splitting_data_is_an_isomorphism():
     rng = random.Random(5)
     O = max_order(-1, 3)
-    for ell, k in [(5, 1), (5, 3), (7, 2), (11, 1)]:
+    E35 = od.eichler_order(O, 35)
+    cases = [(O, 5, 1), (O, 5, 3), (O, 7, 2), (O, 11, 1),
+             (max_order(1, 1), 2, 3), (E35, 11, 1)]
+    for O, ell, k in cases:
         th = od.splitting_data(O, ell, k)
         m = ell ** k
-        assert th.apply(O.algebra.one()) == ((1, 0), (0, 1))
+        assert apply(th, O.algebra.one()) == ((1, 0), (0, 1))
         for _ in range(20):
             c1 = [rng.randint(-8, 8) for _ in range(4)]
             c2 = [rng.randint(-8, 8) for _ in range(4)]
             x = O.algebra.element(*la.mat_mul((c1,), O.basis)[0])
             y = O.algebra.element(*la.mat_mul((c2,), O.basis)[0])
-            X, Y = th.apply(x), th.apply(y)
-            assert th.apply(x * y) == od._mat2_mul(X, Y, m)
+            X, Y = apply(th, x), apply(th, y)
+            assert apply(th, x * y) == od._mat2_mul(X, Y, m)
             assert (X[0][0] + X[1][1] - int(x.trd())) % m == 0
             assert (X[0][0] * X[1][1] - X[0][1] * X[1][0]
                     - int(x.nrd())) % m == 0
@@ -165,7 +177,7 @@ def test_splitting_data_deterministic_per_seed():
     alt = od.splitting_data(O, 3, 2, seed=99)
     m = 9
     x = O.elements()[1] * O.elements()[2]
-    X = alt.apply(x)
+    X = apply(alt, x)
     assert (X[0][0] + X[1][1] - int(x.trd())) % m == 0
 
 
@@ -178,6 +190,97 @@ def test_splitting_data_preconditions():
         od.splitting_data(E, 5)  # not maximal there
     # but fine away from level and discriminant
     od.splitting_data(E, 7)
+
+
+def split_idempotent_reference(order, c, roots, ell, k):
+    """The former QuatElement Hensel lift: order coordinates mod ell^k of
+    the idempotent lifting (x - s)/(r - s), through ambient products and
+    Fraction coordinates at every step."""
+    A = order.algebra
+    r, s = roots
+    mod = ell ** k
+    inv = pow(r - s, -1, ell)
+    e0 = tuple((ci - s * int(u)) * inv % ell
+               for ci, u in zip(c, order.coords(A.one())))
+    e = A.element(*la.mat_mul((e0,), order.basis)[0])
+    prec = 1
+    while prec < k:
+        e = 3 * (e * e) - 2 * (e * e * e)
+        prec *= 2
+        c = tuple(int(t) % mod for t in order.coords(e))
+        e = A.element(*la.mat_mul((c,), order.basis)[0])
+    assert not any(int(t) % mod for t in order.coords(e * e - e))
+    return tuple(int(t) % mod for t in order.coords(e))
+
+
+def table_test_orders():
+    return [max_order(-1, 3), max_order(-2, 5), max_order(3, 7),
+            od.eichler_order(max_order(-1, 3), 35)]
+
+
+def test_split_idempotent_matches_the_quaternion_hensel_lift():
+    for O in table_test_orders():
+        T = od._mult_table(O)
+        one = od._unit_coords(O)
+        assert one == tuple(int(t) for t in O.coords(O.algebra.one()))
+        for ell in (3, 7, 11):
+            split = od._lex_split_elements(od._trace_norm_form(O), ell)
+            for c, roots in islice(split, 20):
+                for k in range(1, 5):
+                    assert (od._split_idempotent(T, one, c, roots, ell, k)
+                            == split_idempotent_reference(O, c, roots, ell,
+                                                          k)), (O, ell, c, k)
+
+
+def hereditary_inputs(monkeypatch, algebras):
+    """The (order, ell) pairs maximal_order hands to _hereditary_split."""
+    seen = []
+    real = od._hereditary_split
+
+    def spy(order, ell):
+        seen.append((order, ell))
+        return real(order, ell)
+
+    monkeypatch.setattr(od, "_hereditary_split", spy)
+    for a, b in algebras:
+        od.maximal_order(alg(a, b))
+    monkeypatch.setattr(od, "_hereditary_split", real)
+    return seen
+
+
+def test_mult_table_products_match_quaternion_arithmetic(monkeypatch):
+    rng = random.Random(11)
+    inter = [O for O, _ in hereditary_inputs(monkeypatch, [(-19, 5)])]
+    assert len(inter) >= 2
+    for O in table_test_orders() + [max_order(1, 1)] + inter:
+        T = od._mult_table(O)
+        for _ in range(30):
+            x = [rng.randint(-20, 20) for _ in range(4)]
+            y = [rng.randint(-20, 20) for _ in range(4)]
+            X, Y = (O.algebra.element(*la.mat_mul((v,), O.basis)[0])
+                    for v in (x, y))
+            want = tuple(int(t) for t in O.coords(X * Y))
+            assert od._mul(T, x, y) == want
+            assert od._mul(T, x, y, 49) == tuple(t % 49 for t in want)
+
+
+def test_split_idempotent_errors_name_the_prime():
+    O = max_order(-1, 3)
+    T, one = od._mult_table(O), od._unit_coords(O)
+    for ell in (101, 103):
+        c, (r, s) = next(od._lex_split_elements(od._trace_norm_form(O), ell))
+        # (x - s)/(r' - s) squares to (r - s)/(r' - s) times itself
+        wrong = ((r + 1) % ell if (r + 1) % ell != s else (r + 2) % ell, s)
+        with pytest.raises(InvariantError, match=f"mod {ell}\\^1"):
+            od._split_idempotent(T, one, c, wrong, ell, 1)
+
+
+def test_splitting_data_errors_name_the_prime_and_precision(monkeypatch):
+    def singular(M, m):
+        raise RankError("singular")
+    monkeypatch.setattr(la, "mat_inv_mod", singular)
+    with pytest.raises(InvariantError, match="not bijective mod 7\\^3"):
+        od.splitting_data(max_order(-1, 3), 7, 3)
 
 
 # ------------------------------------------------------- split search
@@ -280,6 +383,47 @@ def test_pruned_split_search_keeps_the_first_split_elements(monkeypatch):
         got = list(islice(od._lex_split_elements(od._trace_norm_form(O), ell),
                           len(want)))
         assert got == want, (O, ell)
+
+
+def hereditary_split_reference(order, ell):
+    """The former _hereditary_split: idempotents lifted mod ell^4 through
+    quaternion products, candidates checked by order_diagnostics and by
+    their reduced discriminant."""
+    A = order.algebra
+    d = od.reduced_discriminant(order)
+    for c, roots in od._lex_split_elements(od._trace_norm_form(order), ell):
+        ec = split_idempotent_reference(order, c, roots, ell, 4)
+        e = A.element(*la.mat_mul((ec,), order.basis)[0])
+        for left, right in ((e, A.one() - e), (A.one() - e, e)):
+            rows = [tuple(int(v == i) for v in range(4)) for i in range(4)]
+            rows += [tuple(Fraction(t, ell) for t in order.coords(left * g
+                                                                  * right))
+                     for g in order.elements()]
+            cand_rows = la.mat_mul(la.rmat(rows), order.basis)
+            if od.order_diagnostics(A, cand_rows):
+                continue
+            cand = od.Order(A, cand_rows)
+            if od.reduced_discriminant(cand) == d // ell:
+                return cand
+    raise AssertionError(f"no hereditary enlargement at {ell}")
+
+
+def test_hereditary_split_matches_the_quaternion_construction(monkeypatch):
+    seen = hereditary_inputs(monkeypatch, [(-19, 5)] + HEREDITARY_CASES)
+    assert {ell for O, ell in seen[:3]} == {2, 5, 19}
+    for O, ell in seen:
+        assert od._hereditary_split(O, ell) == hereditary_split_reference(
+            O, ell), (O, ell)
+
+
+def test_maximal_order_has_no_hereditary_enlargement():
+    # at a split prime of a maximal order, O + (1/ell) e O (1-e) has index
+    # ell over O but is not closed under products
+    with pytest.raises(InvariantError, match="no hereditary enlargement "
+                                             "found at 3"):
+        od._hereditary_split(max_order(-2, 5), 3)
+    with pytest.raises(AssertionError, match="no hereditary enlargement"):
+        hereditary_split_reference(max_order(-2, 5), 3)
 
 
 def test_splitting_reduces_to_lower_precision():
@@ -463,6 +607,79 @@ def test_from_order_coords_rejects_non_hermite_forms(R):
     assert od.LeftIdeal.from_order_coords(O, HNF).order_coords == HNF
     with pytest.raises(InvariantError, match="Hermite"):
         od.LeftIdeal.from_order_coords(O, R)
+
+
+def assert_one_identity(I):
+    """An ideal equals (and hashes as) its rebuild from the ambient lattice
+    and from JSON, and its lazy lattice is the canonical R B."""
+    O = I.order
+    J = od.LeftIdeal(O, I.lattice)
+    assert J == I and hash(J) == hash(I)
+    assert od.ideal_from_json(od.ideal_to_json(I)) == I
+    assert I.lattice == la.lattice_canonical(la.mat_mul(I.order_coords,
+                                                        O.basis))
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 613])
+def test_norm_ideals_have_one_identity(ell):
+    for I in od.left_ideals_of_norm(max_order(-1, 3), ell):
+        assert_one_identity(I)
+
+
+def test_ideal_tree_nodes_have_one_identity():
+    for node in build_ideal_tree(max_order(-1, 3), 5, 2).nodes:
+        assert_one_identity(node.ideal)
+
+
+@pytest.mark.parametrize("a,b", [(-1, 3), (-2, 5), (-1, 11), (-1, -1)])
+def test_two_sided_prime_is_the_radical_lattice(a, b):
+    O = max_order(a, b)
+    for p in O.algebra.ramified_primes():
+        P = od.two_sided_prime(O, p)
+        assert P == od.LeftIdeal(O, od.radical_lattice(O, p))
+        assert_one_identity(P)
+
+
+def is_left_ideal_reference(I):
+    """O*I <= I through quaternion products of the ambient bases."""
+    A = I.order.algebra
+    return all(la.lattice_contains(I.lattice,
+                                   (A.element(*g) * A.element(*h)).coeffs)
+               for g in I.order.basis for h in I.lattice)
+
+
+def test_is_left_ideal_matches_quaternion_products():
+    rng = random.Random(23)
+    ideals = []
+    for O in (max_order(-1, 3), od.eichler_order(max_order(-2, 5), 3)):
+        norm5 = od.left_ideals_of_norm(O, 5)
+        ideals += od.left_ideals_of_norm(O, 3) + norm5
+        # right ideals, and lattices stable under one basis element only
+        ideals += [od.LeftIdeal(O, I.conjugate_lattice()) for I in norm5]
+        for g in O.elements():
+            x = O.algebra.element(*la.mat_mul(
+                ([rng.randint(-4, 4) for _ in range(4)],), O.basis)[0])
+            ideals.append(od.LeftIdeal(O, (x.coeffs, (g * x).coeffs)
+                                       + la.mat_scale(5, O.basis)))
+        for _ in range(20):
+            R = [[rng.randint(-4, 4) for _ in range(4)] for _ in range(3)]
+            ideals.append(od.LeftIdeal(O, la.mat_mul(
+                la.rmat(R) + la.mat_scale(6, la.rmat(la.identity(4))),
+                O.basis)))
+    # Z<1, i, j, k> is stable under i, j and k but not under O's e_0
+    O = max_order(-1, 3)
+    ideals.append(od.LeftIdeal(O, od.standard_order(O.algebra).basis))
+    got = [I.is_left_ideal() for I in ideals]
+    assert got == [is_left_ideal_reference(I) for I in ideals]
+    assert True in got and False in got
+
+
+def test_suborder_is_not_a_left_ideal():
+    O = max_order(-1, 3)
+    S = od.LeftIdeal(O, (O.algebra.one().coeffs,) + la.mat_scale(5, O.basis))
+    assert not S.is_left_ideal()
+    with pytest.raises(ValidationError, match="not a left ideal"):
+        od.ideal_from_json(od.ideal_to_json(S))
 
 
 def test_ambient_ideal_outside_its_order_is_refused_at_construction():
