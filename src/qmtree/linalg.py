@@ -59,27 +59,35 @@ def mat_scale(c, M):
 
 
 def det(M) -> Fraction:
-    """Determinant by exact fraction Gaussian elimination."""
+    """Determinant by fraction-free (Bareiss) elimination.
+
+    Integer input stays in Z; other input is first cleared to d*M, whose
+    determinant is d^n det M.  Each step divides exactly by the previous
+    pivot, so the entries stay minors of the cleared matrix.
+    """
     n = len(M)
     if any(len(row) != n for row in M):
         raise PreconditionError("determinant of a non-square matrix")
-    A = [[Fraction(x) for x in row] for row in M]
-    sign = 1
-    prod = Fraction(1)
+    if all(type(x) is int for row in M for x in row):
+        A, d = [list(row) for row in M], 1
+    else:
+        C, d = clear_denominators(M)
+        A = [list(row) for row in C]
+    sign, prev = 1, 1
     for c in range(n):
-        piv = next((i for i in range(c, n) if A[i][c] != 0), None)
+        piv = next((i for i in range(c, n) if A[i][c]), None)
         if piv is None:
             return Fraction(0)
         if piv != c:
             A[c], A[piv] = A[piv], A[c]
             sign = -sign
-        prod *= A[c][c]
-        inv = 1 / A[c][c]
+        p = A[c][c]
         for i in range(c + 1, n):
-            if A[i][c] != 0:
-                f = A[i][c] * inv
-                A[i] = [x - f * y for x, y in zip(A[i], A[c])]
-    return sign * prod
+            a, row = A[i][c], A[i]
+            A[i] = [0] * (c + 1) + [(p * x - a * y) // prev for x, y in
+                                    zip(row[c + 1:], A[c][c + 1:])]
+        prev = p
+    return Fraction(sign * prev, d ** n)
 
 
 def mat_inv(M) -> RatMatrix:

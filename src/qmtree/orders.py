@@ -3,8 +3,12 @@
 Lattices are 4x4 rational row matrices over the ambient basis (1, i, j, k),
 always stored in canonical form, so equality of objects is equality of
 lattices.  A left ideal is held as its integer HNF over its order, and its
-lattice is derived on first read; products inside an order run on integer
-coordinates through its multiplication table.  The two workhorse
+lattice is derived on first read.  The structure of an order is computed on
+its integer cleared basis (B, d), basis = B/d: with D = den(a) den(b), the
+scaled product D (x y) of integer rows is integral, so the multiplication
+table, the trace and norm forms, the order check and the radical idealizer
+are exact integer back-substitutions over B, and products inside an order
+then run on integer coordinates through the table.  The two workhorse
 constructions are the left/right order of a lattice (an integrality
 computation) and the pullback of a local lattice to a left ideal through an
 explicit local splitting O (x) Z_ell ~ M2(Z_ell).
@@ -50,6 +54,9 @@ def _check_tree_size(ell: int, depth: int) -> None:
 
 
 def valuation(n: int, ell: int) -> int:
+    if ell < 2:
+        raise PreconditionError(f"valuation at {ell}: the base must be at "
+                                "least 2")
     n = abs(int(n))
     if n == 0:
         raise PreconditionError("valuation of 0")
@@ -110,21 +117,21 @@ class Order:
 
 def order_diagnostics(A: QuaternionAlgebra, rows) -> List[str]:
     """Reasons rows fail to span an order (empty list means none)."""
-    out = []
     try:
-        B = la.lattice_canonical(rows)
+        O = Order(A, rows)
     except RankError:
         return ["basis is not full rank"]
-    elts = [_elt(A, r) for r in B]
-    if not la.lattice_contains(B, (1, 0, 0, 0)):
+    B, d = O.cleared
+    k = _scaled_constants(A)
+    out = []
+    if _int_coords(B, (d, 0, 0, 0)) is None:
         out.append("1 is not in the lattice")
-    if not all(la.lattice_contains(B, (x * y).coeffs)
-               for x in elts for y in elts):
+    try:
+        _mult_table(O)
+    except InvariantError:
         out.append("not closed under multiplication")
-    for x in elts:
-        if x.trd().denominator != 1 or x.nrd().denominator != 1:
-            out.append("basis element with non-integral trace or norm")
-            break
+    if any(2 * x[0] % d or _int_pair(k, x, x) % (k[0] * d * d) for x in B):
+        out.append("basis element with non-integral trace or norm")
     return out
 
 
@@ -148,18 +155,62 @@ def reduced_discriminant(order: Order) -> int:
     return r
 
 
-def _mult_table(order: Order) -> Tuple[la.IntMatrix, ...]:
-    """T with row j of T[t] = order coordinates of e_t * e_j (integral by
-    closure): the order's integer structure constants."""
-    elts = order.elements()
+def _scaled_constants(A: QuaternionAlgebra) -> Tuple[int, int, int, int]:
+    """(D, D a, D b, D a b) with D = den(a) den(b), all integers."""
+    a, b = A.a, A.b
+    return (a.denominator * b.denominator, a.numerator * b.denominator,
+            b.numerator * a.denominator, a.numerator * b.numerator)
+
+
+def _int_mul(k, x, y) -> Tuple[int, ...]:
+    """D (x y) for integer ambient rows x, y: integral, k = (D, Da, Db, Dab)
+    being the scaled structure constants."""
+    D, Da, Db, Dab = k
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
+    return (D * x0 * y0 + Da * x1 * y1 + Db * x2 * y2 - Dab * x3 * y3,
+            D * (x0 * y1 + x1 * y0) - Db * (x2 * y3 - x3 * y2),
+            D * (x0 * y2 + x2 * y0) + Da * (x1 * y3 - x3 * y1),
+            D * (x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1))
+
+
+def _int_pair(k, x, y) -> int:
+    """D (x0 y0 - a x1 y1 - b x2 y2 + a b x3 y3) for integer ambient rows:
+    D nrd(x) at y = x, and D trd(x y^*) / 2 in general."""
+    D, Da, Db, Dab = k
+    return (D * x[0] * y[0] - Da * x[1] * y[1] - Db * x[2] * y[2]
+            + Dab * x[3] * y[3])
+
+
+def _int_coords(L, v) -> Tuple[int, ...] | None:
+    """The integer coordinates of v over the integer triangular basis L, or
+    None as soon as one division is not exact."""
     out = []
-    for x in elts:
+    for c in la.triangular_coords(L, v):
+        if c.denominator != 1:
+            return None
+        out.append(c)
+    return tuple(out)
+
+
+def _mult_table(order: Order) -> Tuple[la.IntMatrix, ...]:
+    """T with row j of T[t] = order coordinates of e_t * e_j: the order's
+    integer structure constants.
+
+    With (B, d) = order.cleared, e_t e_j = D (B_t B_j) / (D d^2), so its
+    coordinates c solve c (D d B) = D (B_t B_j) in integers; a division that
+    is not exact means the lattice is not closed (InvariantError)."""
+    B, d = order.cleared
+    k = _scaled_constants(order.algebra)
+    L = la.mat_scale(k[0] * d, B)
+    out = []
+    for x in B:
         rows = []
-        for y in elts:
-            c = order.coords(x * y)
-            if not all(t.denominator == 1 for t in c):
+        for y in B:
+            c = _int_coords(L, _int_mul(k, x, y))
+            if c is None:
                 raise InvariantError("lattice is not multiplicatively closed")
-            rows.append(tuple(int(t) for t in c))
+            rows.append(c)
         out.append(tuple(rows))
     return tuple(out)
 
@@ -179,12 +230,21 @@ def _mul(T, x, y, m: int = 0) -> Tuple[int, ...]:
 
 
 def _unit_coords(order: Order) -> Tuple[int, ...]:
-    """Order coordinates of 1."""
-    return tuple(int(t) for t in order.coords(order.algebra.one()))
+    """Order coordinates of 1 = (d, 0, 0, 0)/d."""
+    B, d = order.cleared
+    one = _int_coords(B, (d, 0, 0, 0))
+    if one is None:
+        raise InvariantError("1 is not in the order")
+    return one
 
 
-def _from_order_coords(order: Order, rows) -> la.RatMatrix:
-    return la.mat_mul(la.rmat(rows), order.basis)
+def _from_order_coords(order: Order, R, den: int = 1) -> la.RatMatrix:
+    """The canonical ambient basis hnf(R B)/(den d) of the lattice with
+    coordinates R/den over the order basis, R integer, (B, d) =
+    order.cleared."""
+    B, d = order.cleared
+    return tuple(tuple(Fraction(x, den * d) for x in row)
+                 for row in la.hnf_basis(la.mat_mul(R, B)))
 
 
 # ------------------------------------------------------- lattice orders
@@ -214,24 +274,23 @@ def _trace_norm_form(order: Order):
     """Integer coefficients (t, q) of trd and nrd over the order basis.
 
     x = sum c_i e_i has trd(x) = sum t_i c_i and nrd(x) = sum over i <= j
-    of q[i, j] c_i c_j, with q[i, i] = nrd(e_i) and q[i, j] = trd(e_i e_j^*)
-    = nrd(e_i + e_j) - nrd(e_i) - nrd(e_j).
+    of q[i, j] c_i c_j, with q[i, i] = nrd(e_i) and q[i, j] = trd(e_i e_j^*).
+    Over (B, d) = order.cleared, t_i = 2 B_i0 / d and q[i, j] is the polar
+    form of B_i and B_j over D d^2; InvariantError if one is not integral.
     """
-    elts = order.elements()
-    t = tuple(_integral(x.trd()) for x in elts)
-    n = [_integral(x.nrd()) for x in elts]
-    q = {}
-    for i in range(4):
-        q[i, i] = n[i]
-        for j in range(i + 1, 4):
-            q[i, j] = _integral((elts[i] + elts[j]).nrd()) - n[i] - n[j]
+    B, d = order.cleared
+    k = _scaled_constants(order.algebra)
+    s = k[0] * d * d
+    t = tuple(_integral(2 * x[0], d) for x in B)
+    q = {(i, j): _integral((1 if i == j else 2) * _int_pair(k, B[i], B[j]), s)
+         for i in range(4) for j in range(i, 4)}
     return t, q
 
 
-def _integral(x) -> int:
-    if x.denominator != 1:
+def _integral(n: int, m: int) -> int:
+    if n % m:
         raise InvariantError("non-integral trace pairing")
-    return int(x)
+    return n // m
 
 
 def _char_poly(form, c) -> Tuple[int, int]:
@@ -278,9 +337,32 @@ def radical_coords(order: Order, ell: int) -> List[Tuple[int, ...]]:
 
 def radical_lattice(order: Order, ell: int) -> la.RatMatrix:
     """ell*O + (lift of the radical of O/ell O), as an ambient lattice."""
-    rows = [tuple(ell * int(v == i) for v in range(4)) for i in range(4)]
-    rows += [tuple(int(c) for c in v) for v in radical_coords(order, ell)]
-    return la.lattice_canonical(_from_order_coords(order, la.imat(rows)))
+    rad = tuple(radical_coords(order, ell))
+    return _from_order_coords(order, la.mat_scale(ell, la.identity(4)) + rad)
+
+
+def _radical_idealizer(order: Order, ell: int) -> la.IntMatrix | None:
+    """HNF over O's basis of ell O_L(J) for J = ell O + rad(O/ell O), or
+    None when O_L(J) = O.
+
+    J is a two-sided ideal containing ell O, so x J <= J puts ell x in O,
+    and ell O_L(J) = {c in O : c J <= ell J}: ell O plus the lifts of the
+    kernel of c -> (coordinates of c h over J's HNF, h in J's basis) mod
+    ell."""
+    T = _mult_table(order)
+    # J is ell O alone when the radical is zero
+    H = la.hnf_mod(radical_coords(order, ell) or [(0, 0, 0, 0)], ell, ell)
+    cols = []
+    for g in la.identity(4):
+        col = []
+        for h in H:
+            c = _int_coords(H, _mul(T, g, h))
+            if c is None:
+                raise InvariantError(f"radical at {ell} is not an ideal")
+            col += c
+        cols.append(col)
+    K = la.kernel_mod_p(la.transpose(cols), ell)
+    return la.hnf_mod(K, ell, ell) if K else None
 
 
 def _split_char_roots(t: int, n: int, ell: int):
@@ -379,8 +461,7 @@ def _hereditary_split(order: Order, ell: int) -> Order:
             if la.hnf_index(H) == ell ** 3 and all(
                     la.lattice_contains(ellH, _mul(T, x, y))
                     for x in H for y in H):
-                return Order(order.algebra, _from_order_coords(
-                    order, [[Fraction(x, ell) for x in row] for row in H]))
+                return Order(order.algebra, _from_order_coords(order, H, ell))
     raise InvariantError(f"no hereditary enlargement found at {ell}")
 
 
@@ -395,10 +476,9 @@ def maximalize_at(order: Order, ell: int) -> Order:
             return O
         if v < target:
             raise InvariantError("discriminant below the ramified floor")
-        J = radical_lattice(O, ell)
-        O2 = lattice_left_order(A, J)
-        if la.rat_lattice_index(O2.basis, O.basis) > 1:
-            O = O2
+        S = _radical_idealizer(O, ell)
+        if S is not None:
+            O = Order(A, _from_order_coords(O, S, ell))
             continue
         # the radical idealizer fixes exactly the hereditary orders
         if v != 1 or target != 0:
@@ -621,9 +701,7 @@ class LeftIdeal:
     @cached_property
     def lattice(self) -> la.RatMatrix:
         """The canonical ambient basis hnf(R B)/d, (B, d) = order.cleared."""
-        B, d = self.order.cleared
-        H = la.hnf_basis(la.mat_mul(self.order_coords, B))
-        return tuple(tuple(Fraction(x, d) for x in row) for row in H)
+        return _from_order_coords(self.order, self.order_coords)
 
     def index_in_order(self) -> int:
         return la.hnf_index(self.order_coords)

@@ -201,11 +201,22 @@ FROZEN_DIGESTS = [
     (["ideals", "tree", "--l", "5", "--depth", "2", "--verify", "--seed",
       "7"],
      "42dd8b112d15d3fc8e2dc706d973224b0521ee9e418482c47966151c11643347"),
+    # frozen before order structure moved to the integer cleared basis:
+    # fractional structure constants (argparse reads a bare -5/2 as an
+    # option, hence the =) and a lattice failing all three order conditions
+    (["order", "maximal", "--a", "1/2", "--b=-5/2"],
+     "a030d530734711ed5bd90c114f08fdde1d246f8e2277c8b6dd3de1c5508fb537"),
+    (["order", "eichler", "--a", "1/2", "--b=-5/2", "--level", "21"],
+     "42f41c502e872b46ea3c2f1c6af8604408f82629765af857d391ea0d0219de19"),
+    (["order", "verify", "--order",
+      str(DATA / "orders" / "not_an_order.json")],
+     "7eb9a6b690b6415b13cb5799924195ce06b80ba80e55c73e0f074953b69e7fae"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", FROZEN_DIGESTS,
-                         ids=[" ".join(a) for a, _ in FROZEN_DIGESTS])
+                         ids=[" ".join(a).replace(str(DATA), "data")
+                              for a, _ in FROZEN_DIGESTS])
 def test_output_is_byte_identical_to_the_frozen_digest(capsys, argv,
                                                        digest):
     code, out = run(capsys, *argv)

@@ -136,3 +136,58 @@ def test_hnf_spans_the_lattice_of_sympys_hnf(sympy_hnf, case):
     X = Matrix(top) * S.inv()
     assert all(x.is_integer for x in X)
     assert la.hnf_index(top) == abs(S.det())
+
+
+def det_reference(M):
+    """The former det: Gaussian elimination over Fraction."""
+    n = len(M)
+    A = [[Fraction(x) for x in row] for row in M]
+    sign, prod = 1, Fraction(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if A[i][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            A[c], A[piv] = A[piv], A[c]
+            sign = -sign
+        prod *= A[c][c]
+        inv = 1 / A[c][c]
+        for i in range(c + 1, n):
+            if A[i][c] != 0:
+                f = A[i][c] * inv
+                A[i] = [x - f * y for x, y in zip(A[i], A[c])]
+    return sign * prod
+
+
+@st.composite
+def det_case(draw):
+    """A 0x0 to 5x5 integer or rational matrix, often sparse, and in half
+    the cases with one row a combination of two others (singular)."""
+    n = draw(st.integers(0, 5))
+    entry = st.integers(-9, 9) if draw(st.booleans()) else rational()
+    entry = st.one_of(st.just(0), entry)
+    M = [list(row) for row in draw(square(n, entry))]
+    if n >= 2 and draw(st.booleans()):
+        i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+        assume(i != j and i != k)
+        s, t = draw(entry), draw(entry)
+        M[i] = [s * x + t * y for x, y in zip(M[j], M[k])]
+    return tuple(tuple(row) for row in M)
+
+
+@settings(max_examples=250, deadline=None)
+@given(det_case())
+def test_bareiss_det_matches_the_fraction_elimination(M):
+    got = la.det(M)
+    assert type(got) is Fraction
+    assert got == det_reference(M)
+
+
+def test_det_of_integer_input_does_no_fraction_work(monkeypatch):
+    def no_fractions(M):
+        raise AssertionError("integer input was cleared over the rationals")
+
+    monkeypatch.setattr(la, "clear_denominators", no_fractions)
+    assert la.det(((2, 1, 0), (7, 4, 0), (1, 1, 3))) == 3
+    assert la.det(((0, 1), (1, 0))) == -1
+    assert la.det(((1, 2), (2, 4))) == 0

@@ -17,7 +17,7 @@ from qmtree import orders as od
 from qmtree.errors import (AlgebraError, InvariantError, PreconditionError,
                            RankError, ResourceError, ValidationError)
 from qmtree.ideal_tree import build_ideal_tree
-from qmtree.quaternion import QuaternionAlgebra
+from qmtree.quaternion import QuatElement, QuaternionAlgebra, factorize
 
 
 def alg(a, b):
@@ -83,17 +83,34 @@ def test_discriminant_index_relation():
 # ---------------------------------------------------------------- radical
 
 def quasi_regular_radical(order, ell):
-    """Independent radical: x with 1 - a*x invertible for every residue a."""
-    A = order.algebra
+    """Independent radical: x with 1 - a*x invertible for every residue a.
+
+    Integer ambient arithmetic over the cleared basis B/d: with D = den(a)
+    den(b), an element y = Y/d has w = D d^2 (1 - y x) = D d^2 - D (Y X)
+    integral, and nrd(1 - y x) = D nrd(w) / (D^3 d^4)."""
+    a, b = order.algebra.a, order.algebra.b
+    D = a.denominator * b.denominator
+    Da, Db, Dab = int(D * a), int(D * b), int(D * a * b)
+    B, d = la.clear_denominators(order.basis)
+    one, scale = D * d * d, D ** 3 * d ** 4
+
+    def unit_defect(Y, X):
+        """nrd(1 - y x) for y = Y/d and x = X/d."""
+        y0, y1, y2, y3 = Y
+        x0, x1, x2, x3 = X
+        w = (one - D * y0 * x0 - Da * y1 * x1 - Db * y2 * x2 + Dab * y3 * x3,
+             -D * (y0 * x1 + y1 * x0) + Db * (y2 * x3 - y3 * x2),
+             -D * (y0 * x2 + y2 * x0) - Da * (y1 * x3 - y3 * x1),
+             -D * (y0 * x3 + y3 * x0 + y1 * x2 - y2 * x1))
+        n = (D * w[0] ** 2 - Da * w[1] ** 2 - Db * w[2] ** 2
+             + Dab * w[3] ** 2)
+        assert n % scale == 0
+        return n // scale
+
     residues = [tuple(c) for c in product(range(ell), repeat=4)]
-    elts = {c: A.element(*la.mat_mul((c,), order.basis)[0]) for c in residues}
-    one = A.one()
-    out = set()
-    for c in residues:
-        x = elts[c]
-        if all(int((one - elts[a] * x).nrd()) % ell != 0 for a in residues):
-            out.add(c)
-    return out
+    rows = {c: la.mat_mul((c,), B)[0] for c in residues}
+    return {c for c in residues
+            if all(unit_defect(rows[a], rows[c]) % ell for a in residues)}
 
 
 def span_mod(vectors, ell):
@@ -108,6 +125,7 @@ def span_mod(vectors, ell):
 
 @pytest.mark.parametrize("a,b,ell", [
     (-1, -1, 2), (-1, 3, 2), (-1, 3, 3), (-2, 5, 5), (1, 1, 2), (1, 1, 3),
+    (Fraction(-3, 4), Fraction(5, 9), 5),
 ])
 def test_radical_matches_quasi_regularity(a, b, ell):
     O = max_order(a, b)
@@ -329,6 +347,188 @@ def test_trace_norm_form_rejects_non_integral_norm():
         od._trace_norm_form(O)
     with pytest.raises(InvariantError, match="non-integral trace pairing"):
         od.reduced_discriminant(O)
+
+
+# ------------------------------------------- integer structure constants
+
+def mult_table_reference(order):
+    """The former _mult_table: 16 quaternion products, each read back over
+    the order basis by Fraction forward substitution."""
+    elts = order.elements()
+    out = []
+    for x in elts:
+        rows = []
+        for y in elts:
+            c = order.coords(x * y)
+            if not all(t.denominator == 1 for t in c):
+                raise InvariantError("lattice is not multiplicatively closed")
+            rows.append(tuple(int(t) for t in c))
+        out.append(tuple(rows))
+    return tuple(out)
+
+
+def integral_reference(x):
+    if x.denominator != 1:
+        raise InvariantError("non-integral trace pairing")
+    return int(x)
+
+
+def trace_norm_form_reference(order):
+    """The former _trace_norm_form, from QuatElement traces and norms:
+    q[i, j] = nrd(e_i + e_j) - nrd(e_i) - nrd(e_j)."""
+    elts = order.elements()
+    t = tuple(integral_reference(x.trd()) for x in elts)
+    n = [integral_reference(x.nrd()) for x in elts]
+    q = {}
+    for i in range(4):
+        q[i, i] = n[i]
+        for j in range(i + 1, 4):
+            q[i, j] = (integral_reference((elts[i] + elts[j]).nrd())
+                       - n[i] - n[j])
+    return t, q
+
+
+def order_diagnostics_reference(A, rows):
+    """The former order_diagnostics: 1 and the 16 quaternion products
+    tested against the Fraction lattice, then QuatElement traces and
+    norms."""
+    try:
+        B = la.lattice_canonical(rows)
+    except RankError:
+        return ["basis is not full rank"]
+    elts = [A.element(*r) for r in B]
+    out = []
+    if not la.lattice_contains(B, (1, 0, 0, 0)):
+        out.append("1 is not in the lattice")
+    if not all(la.lattice_contains(B, (x * y).coeffs)
+               for x in elts for y in elts):
+        out.append("not closed under multiplication")
+    if any(x.trd().denominator != 1 or x.nrd().denominator != 1
+           for x in elts):
+        out.append("basis element with non-integral trace or norm")
+    return out
+
+
+def radical_idealizer_reference(order, ell):
+    """The former radical step: the left order of ell O + rad, by
+    integrality over the ambient lattice, or None when it is O itself."""
+    O2 = od.lattice_left_order(order.algebra, od.radical_lattice(order, ell))
+    return O2 if la.rat_lattice_index(O2.basis, order.basis) > 1 else None
+
+
+def outcome(f, *args):
+    """f(*args), or the InvariantError message it raises."""
+    try:
+        return f(*args)
+    except InvariantError as e:
+        return "InvariantError: " + str(e)
+
+
+SMALL_ALGEBRAS = [(a, b) for a in range(-5, 6) for b in (-3, -1, 2, 5)
+                  if a]
+FRACTIONAL_ALGEBRAS = [(Fraction(1, 2), 3), (Fraction(-3, 4), Fraction(5, 9)),
+                       (Fraction(-7, 6), Fraction(-11, 9)),
+                       (Fraction(1, 2), Fraction(-5, 2))]
+
+
+def visited_orders(monkeypatch, algebras):
+    """Every order whose discriminant maximal_order reads on the way up:
+    the standard order, each intermediate order and the maximal one."""
+    seen = {}
+    real = od.reduced_discriminant
+
+    def spy(order):
+        seen.setdefault(order, None)
+        return real(order)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(od, "reduced_discriminant", spy)
+        for a, b in algebras:
+            od.maximal_order(alg(a, b))
+    return list(seen)
+
+
+@pytest.mark.parametrize("algebras", [SMALL_ALGEBRAS, FRACTIONAL_ALGEBRAS],
+                         ids=["small", "fractional"])
+def test_integer_structure_matches_quaternion_arithmetic(monkeypatch,
+                                                         algebras):
+    orders = visited_orders(monkeypatch, algebras)
+    assert len(orders) > 2 * len(algebras)
+    steps = 0
+    for O in orders:
+        A = O.algebra
+        assert od._mult_table(O) == mult_table_reference(O), O
+        assert od._trace_norm_form(O) == trace_norm_form_reference(O), O
+        assert od._unit_coords(O) == tuple(int(t)
+                                           for t in O.coords(A.one()))
+        assert od.order_diagnostics(A, O.basis) == []
+        assert order_diagnostics_reference(A, O.basis) == []
+        for ell, _ in factorize(od.reduced_discriminant(O)):
+            S = od._radical_idealizer(O, ell)
+            want = radical_idealizer_reference(O, ell)
+            assert (S is None) == (want is None), (O, ell)
+            if S is not None:
+                steps += 1
+                assert od.Order(A, od._from_order_coords(O, S, ell)) == want
+    assert steps >= len(algebras)
+
+
+NON_ORDERS = {
+    "no-one": [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]],
+    "not-closed": [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    "non-integral-norm": [[Fraction(1, 2), Fraction(1, 2), 0, 0],
+                          [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    "all-three": [[2, 0, 0, 0], [0, Fraction(1, 2), 0, 0], [0, 0, 1, 0],
+                  [0, 0, 0, 1]],
+    "singular": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 0]],
+}
+
+
+@pytest.mark.parametrize("a,b", [(-1, 3), (-1, -1)] + FRACTIONAL_ALGEBRAS)
+def test_non_orders_match_the_quaternion_checks(a, b):
+    A = alg(a, b)
+    for name, rows in NON_ORDERS.items():
+        got = od.order_diagnostics(A, rows)
+        assert got == order_diagnostics_reference(A, rows), name
+        assert got, name
+        if name == "singular":
+            continue
+        O = od.Order(A, rows)
+        for f, ref in ((od._mult_table, mult_table_reference),
+                       (od._trace_norm_form, trace_norm_form_reference)):
+            assert outcome(f, O) == outcome(ref, O), (name, f)
+    if (a, b) == (-1, 3):
+        assert [od.order_diagnostics(A, rows) for rows in NON_ORDERS.values()
+                ] == [["1 is not in the lattice"],
+                      ["not closed under multiplication"],
+                      # a closed lattice is integral
+                      ["not closed under multiplication",
+                       "basis element with non-integral trace or norm"],
+                      ["1 is not in the lattice",
+                       "not closed under multiplication",
+                       "basis element with non-integral trace or norm"],
+                      ["basis is not full rank"]]
+
+
+def test_order_constructions_build_no_quaternion_product(monkeypatch):
+    def no_products(self, other):
+        raise AssertionError("a QuatElement product was built")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(QuatElement, "__mul__", no_products)
+        for a, b in [(-19, 5), (3, 7), (Fraction(-7, 6), Fraction(-11, 9))]:
+            od.maximal_order(alg(a, b))
+        O = od.maximal_order(alg(-1, 3))
+        E = od.eichler_order(O, 35)
+        od.splitting_data(O, 7, 3)
+        for order, ell in ((O, 2), (O, 11), (E, 5), (E, 13)):
+            od.left_ideals_of_norm(order, ell)
+
+
+@pytest.mark.parametrize("ell", [1, 0, -3])
+def test_valuation_rejects_a_base_below_two(ell):
+    with pytest.raises(PreconditionError, match=f"valuation at {ell}"):
+        od.valuation(12, ell)
 
 
 def test_order_repr_computes_nothing():
