@@ -1,17 +1,17 @@
 """Orders and one-sided ideals in rational quaternion algebras.
 
-Lattices are 4x4 rational row matrices over the ambient basis (1, i, j, k),
-always stored in canonical form, so equality of objects is equality of
-lattices.  A left ideal is held as its integer HNF over its order, and its
-lattice is derived on first read.  The structure of an order is computed on
-its integer cleared basis (B, d), basis = B/d: with D = den(a) den(b), the
-scaled product D (x y) of integer rows is integral, so the multiplication
-table, the trace and norm forms, the order check and the radical idealizer
-are exact integer back-substitutions over B, and products inside an order
-then run on integer coordinates through the table.  The two workhorse
-constructions are the left/right order of a lattice (an integrality
-computation) and the pullback of a local lattice to a left ideal through an
-explicit local splitting O (x) Z_ell ~ M2(Z_ell).
+Lattices are full-rank rows over the ambient basis (1, i, j, k).  An order is
+stored as (B, d), B an integer HNF and d the least denominator of basis = B/d,
+and a left ideal as its integer HNF over its order, so equality of objects is
+equality of lattices; rational bases are derived on first read.  With D =
+den(a) den(b), the scaled product D (x y) of integer rows is integral, so the
+multiplication table, the trace and norm forms, the order check and the
+radical idealizer are exact integer back-substitutions over B, products
+inside an order run on integer coordinates through the table, and an order
+built over another is hnf(R B) over den d.  The two workhorse constructions
+are the left/right order of a lattice (an integrality computation) and the
+pullback of a local lattice to a left ideal through an explicit local
+splitting O (x) Z_ell ~ M2(Z_ell).
 """
 
 from __future__ import annotations
@@ -71,41 +71,52 @@ def is_squarefree(n: int) -> bool:
     return n != 0 and all(e == 1 for _, e in factorize(n))
 
 
-def _elt(A: QuaternionAlgebra, row) -> QuatElement:
-    return A.element(*row)
-
-
 # ---------------------------------------------------------------- orders
 
 @dataclass(frozen=True)
 class Order:
-    """A full-rank lattice with a distinguished (canonical) basis.
-
-    The constructor only canonicalizes; whether the lattice really is an
-    order is checked by order_diagnostics / validate.
-    """
+    """A full-rank lattice stored as cleared = (B, d), B its integer HNF,
+    d >= 1 and gcd(content(B), d) = 1, so basis = B/d.  Order(A, rows)
+    canonicalizes ambient rows, order.over(R, den) integer coordinates; the
+    order check is order_diagnostics / validate."""
 
     algebra: QuaternionAlgebra
-    basis: la.RatMatrix
+    cleared: Tuple[la.IntMatrix, int]
 
     def __init__(self, algebra: QuaternionAlgebra, rows):
+        if not rows or any(len(r) != 4 for r in rows):
+            raise RankError("an order basis needs rows of 4 entries")
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "basis", la.lattice_canonical(rows))
+        object.__setattr__(self, "cleared",
+                           la.clear_denominators(la.lattice_canonical(rows)))
+
+    def over(self, R, den: int = 1) -> "Order":
+        """The lattice with coordinates R/den over this basis, R an integer
+        generating matrix: (hnf(R B)/g, den d/g), g = gcd(content, den d)."""
+        B, d = self.cleared
+        H = la.hnf_basis(la.mat_mul(R, B))
+        g = gcd(la.content(H), den * d)
+        O = object.__new__(Order)
+        object.__setattr__(O, "algebra", self.algebra)
+        object.__setattr__(O, "cleared", (tuple(tuple(x // g for x in row)
+                                                for row in H), den * d // g))
+        return O
+
+    @cached_property
+    def basis(self) -> la.RatMatrix:
+        """The canonical ambient basis B/d."""
+        B, d = self.cleared
+        return tuple(tuple(Fraction(x, d) for x in row) for row in B)
 
     def elements(self) -> Tuple[QuatElement, ...]:
-        return tuple(_elt(self.algebra, r) for r in self.basis)
+        return tuple(self.algebra.element(*r) for r in self.basis)
 
     def coords(self, x: QuatElement):
         """Coordinates of x over the order basis (Fractions)."""
         return tuple(la.triangular_coords(self.basis, x.coeffs))
 
-    @cached_property
-    def cleared(self) -> Tuple[la.IntMatrix, int]:
-        """(B, d) with basis = B/d and B an integer HNF, cleared once."""
-        return la.clear_denominators(self.basis)
-
     def validate(self) -> None:
-        bad = order_diagnostics(self.algebra, self.basis)
+        bad = _diagnose(self)
         if bad:
             raise InvariantError("not an order: " + "; ".join(bad))
 
@@ -118,16 +129,19 @@ class Order:
 def order_diagnostics(A: QuaternionAlgebra, rows) -> List[str]:
     """Reasons rows fail to span an order (empty list means none)."""
     try:
-        O = Order(A, rows)
+        return _diagnose(Order(A, rows))
     except RankError:
         return ["basis is not full rank"]
-    B, d = O.cleared
-    k = _scaled_constants(A)
+
+
+def _diagnose(order: Order) -> List[str]:
+    B, d = order.cleared
+    k = _scaled_constants(order.algebra)
     out = []
     if _int_coords(B, (d, 0, 0, 0)) is None:
         out.append("1 is not in the lattice")
     try:
-        _mult_table(O)
+        _mult_table(order)
     except InvariantError:
         out.append("not closed under multiplication")
     if any(2 * x[0] % d or _int_pair(k, x, x) % (k[0] * d * d) for x in B):
@@ -140,7 +154,7 @@ def standard_order(A: QuaternionAlgebra) -> Order:
     s = Fraction(A.a).denominator
     t = Fraction(A.b).denominator
     rows = ((1, 0, 0, 0), (0, s, 0, 0), (0, 0, t, 0), (0, 0, 0, s * t))
-    O = Order(A, la.rmat(rows))
+    O = Order(A, rows)
     O.validate()
     return O
 
@@ -238,15 +252,6 @@ def _unit_coords(order: Order) -> Tuple[int, ...]:
     return one
 
 
-def _from_order_coords(order: Order, R, den: int = 1) -> la.RatMatrix:
-    """The canonical ambient basis hnf(R B)/(den d) of the lattice with
-    coordinates R/den over the order basis, R integer, (B, d) =
-    order.cleared."""
-    B, d = order.cleared
-    return tuple(tuple(Fraction(x, den * d) for x in row)
-                 for row in la.hnf_basis(la.mat_mul(R, B)))
-
-
 # ------------------------------------------------------- lattice orders
 
 def _stack_blocks(blocks) -> la.RatMatrix:
@@ -257,11 +262,10 @@ def _stack_blocks(blocks) -> la.RatMatrix:
 def lattice_left_order(A: QuaternionAlgebra, rows) -> Order:
     """{x : x L <= L} for the full lattice L spanned by rows."""
     L = la.lattice_canonical(rows)
-    amb = [A.element(1), A.element(0, 1), A.element(0, 0, 1),
-           A.element(0, 0, 0, 1)]
+    amb = A.basis()
     blocks = []
     for g_row in L:
-        g = _elt(A, g_row)
+        g = A.element(*g_row)
         # row r = coordinates over L of e_r * g
         blocks.append(tuple(tuple(la.triangular_coords(L, (e * g).coeffs))
                             for e in amb))
@@ -309,36 +313,28 @@ def _trace_pairing(form) -> la.IntMatrix:
 
 
 def radical_coords(order: Order, ell: int) -> List[Tuple[int, ...]]:
-    """Order-coordinate vectors spanning the radical of O/(ell) over F_ell.
-
-    Odd ell: kernel of the trace pairing (its kernel is a nil ideal, and the
-    radical pairs to zero, so the two agree).  ell = 2: the trace form can
-    vanish identically, so fall back to quasi-regularity over the 16
-    residues: x is in the radical iff 1 - a x is a unit for every a.
-    """
+    """Order-coordinate vectors, a basis over F_ell of the radical of O/(ell):
+    the kernel of nrd mod ell on the kernel K of the trace pairing.  On K the
+    polar form trd(x y^*) = trd(x) trd(y) - trd(x y) of nrd vanishes, so nrd
+    is additive, x is a unit if nrd(x) is, and x is quasi-regular, nrd(1 - a
+    x) = 1 for every a, if nrd(x) = 0.  At odd ell, 2 nrd(x) = trd(x)^2 -
+    trd(x^2) vanishes on K, which is then the radical itself."""
     form = _trace_norm_form(order)
-    T = _trace_pairing(form)
-    if ell != 2:
-        return la.kernel_mod_p(tuple(tuple(x % ell for x in row) for row in T),
-                               ell)
-    # nrd(1 - y x) = 1 - trd(y x) + nrd(y) nrd(x), all from the form
-    residues = [tuple(c) for c in product(range(2), repeat=4)]
-    nrd = {c: _char_poly(form, c)[1] for c in residues}
-    rad = []
-    for c in residues:
-        if not any(c):
-            continue
-        Tc = [sum(T[i][j] * c[j] for j in range(4)) for i in range(4)]
-        if all((1 - sum(ai * x for ai, x in zip(a, Tc)) + nrd[a] * nrd[c]) % 2
-               for a in residues):
-            rad.append(c)
-    return rad
+    K = la.kernel_mod_p(_trace_pairing(form), ell)
+    n = [_char_poly(form, x)[1] % ell for x in K]
+    if not any(n):
+        return K
+    # ell = 2, where nrd is F_2-linear on K: its kernel is spanned by the
+    # x + nrd(x) y for y one vector of K with odd norm
+    y = K[n.index(1)]
+    return [tuple((a + m * b) % 2 for a, b in zip(x, y))
+            for x, m in zip(K, n) if x != y]
 
 
 def radical_lattice(order: Order, ell: int) -> la.RatMatrix:
     """ell*O + (lift of the radical of O/ell O), as an ambient lattice."""
-    rad = tuple(radical_coords(order, ell))
-    return _from_order_coords(order, la.mat_scale(ell, la.identity(4)) + rad)
+    return order.over([*la.mat_scale(ell, la.identity(4)),
+                       *radical_coords(order, ell)]).basis
 
 
 def _radical_idealizer(order: Order, ell: int) -> la.IntMatrix | None:
@@ -461,7 +457,7 @@ def _hereditary_split(order: Order, ell: int) -> Order:
             if la.hnf_index(H) == ell ** 3 and all(
                     la.lattice_contains(ellH, _mul(T, x, y))
                     for x in H for y in H):
-                return Order(order.algebra, _from_order_coords(order, H, ell))
+                return order.over(H, ell)
     raise InvariantError(f"no hereditary enlargement found at {ell}")
 
 
@@ -478,7 +474,7 @@ def maximalize_at(order: Order, ell: int) -> Order:
             raise InvariantError("discriminant below the ramified floor")
         S = _radical_idealizer(O, ell)
         if S is not None:
-            O = Order(A, _from_order_coords(O, S, ell))
+            O = O.over(S, ell)
             continue
         # the radical idealizer fixes exactly the hereditary orders
         if v != 1 or target != 0:
@@ -649,7 +645,7 @@ def eichler_order(order: Order, N: int, seed: int = 0) -> Order:
         th = splitting_data(order, ell, 1, seed)
         f = tuple(th.images[i][1][0] for i in range(4))
         R = la.congruence_sublattice(R, f, ell)
-    E = Order(A, _from_order_coords(order, R))
+    E = order.over(R)
     E.validate()
     if reduced_discriminant(E) != D * N:
         raise InvariantError("congruence sublattice has the wrong level")
@@ -701,7 +697,7 @@ class LeftIdeal:
     @cached_property
     def lattice(self) -> la.RatMatrix:
         """The canonical ambient basis hnf(R B)/d, (B, d) = order.cleared."""
-        return _from_order_coords(self.order, self.order_coords)
+        return self.order.over(self.order_coords).basis
 
     def index_in_order(self) -> int:
         return la.hnf_index(self.order_coords)
@@ -728,7 +724,7 @@ class LeftIdeal:
         return lattice_left_order(self.order.algebra, self.conjugate_lattice())
 
     def conjugate_lattice(self) -> la.RatMatrix:
-        rows = tuple(_elt(self.order.algebra, r).conjugate().coeffs
+        rows = tuple(self.order.algebra.element(*r).conjugate().coeffs
                      for r in self.lattice)
         return la.lattice_canonical(rows)
 
@@ -740,9 +736,9 @@ def lattice_product(A: QuaternionAlgebra, X, Y) -> la.RatMatrix:
     """Canonical basis of the lattice spanned by all products x*y."""
     rows = []
     for xr in X:
-        x = _elt(A, xr)
+        x = A.element(*xr)
         for yr in Y:
-            rows.append((x * _elt(A, yr)).coeffs)
+            rows.append((x * A.element(*yr)).coeffs)
     return la.lattice_canonical(tuple(rows))
 
 
@@ -754,7 +750,7 @@ def ideal_product(I: LeftIdeal, J: LeftIdeal) -> LeftIdeal:
 
 
 def principal_ideal(order: Order, x: QuatElement) -> LeftIdeal:
-    rows = tuple((_elt(order.algebra, r) * x).coeffs for r in order.basis)
+    rows = tuple((order.algebra.element(*r) * x).coeffs for r in order.basis)
     return LeftIdeal(order, rows)
 
 

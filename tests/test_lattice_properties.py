@@ -1,8 +1,11 @@
 """Property tests: coordinates, membership and indices over canonical bases
-against a matrix-inverse reference, and the Hermite forms against the stacked
-integer HNF and against sympy."""
+against a matrix-inverse reference, the Hermite forms against the stacked
+integer HNF and against sympy, and the integer order constructor against
+the rational one."""
 
+import functools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -11,7 +14,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qmtree import linalg as la
+from qmtree import orders as od
 from qmtree.errors import PreconditionError
+from qmtree.quaternion import QuaternionAlgebra
 
 
 def square(n, entries):
@@ -191,3 +196,25 @@ def test_det_of_integer_input_does_no_fraction_work(monkeypatch):
     assert la.det(((2, 1, 0), (7, 4, 0), (1, 1, 3))) == 3
     assert la.det(((0, 1), (1, 0))) == -1
     assert la.det(((1, 2), (2, 4))) == 0
+
+
+@functools.lru_cache(maxsize=None)
+def max_order(a, b):
+    return od.maximal_order(QuaternionAlgebra(a, b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([(-1, -1), (-1, 3), (-19, 5), (Fraction(1, 2), 3),
+                        (Fraction(-3, 4), Fraction(5, 9))]),
+       square(4, st.integers(-6, 6)), st.integers(1, 12))
+def test_order_over_matches_the_ambient_constructor(ab, R, den):
+    assume(la.det(R) != 0)
+    O = max_order(*ab)
+    got = O.over(R, den)
+    want = od.Order(O.algebra, la.mat_scale(Fraction(1, den),
+                                            la.mat_mul(R, O.basis)))
+    assert got == want
+    assert got.basis == want.basis
+    B, d = got.cleared
+    assert d >= 1 and gcd(la.content(B), d) == 1
+    assert la.hnf_basis(B) == B

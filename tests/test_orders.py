@@ -6,9 +6,12 @@ of frozen discriminants and ideal counts.
 """
 
 import functools
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import islice, product
+from math import gcd
 
 import pytest
 
@@ -123,12 +126,31 @@ def span_mod(vectors, ell):
     return out
 
 
-@pytest.mark.parametrize("a,b,ell", [
-    (-1, -1, 2), (-1, 3, 2), (-1, 3, 3), (-2, 5, 5), (1, 1, 2), (1, 1, 3),
-    (Fraction(-3, 4), Fraction(5, 9), 5),
-])
-def test_radical_matches_quasi_regularity(a, b, ell):
-    O = max_order(a, b)
+def standard(a, b):
+    return od.standard_order(alg(a, b))
+
+
+def eichler_two(a, b):
+    return od.eichler_order(max_order(a, b), 2)
+
+
+# the maximal orders keep their former ids; at ell = 2 the standard orders
+# are cases where the norm condition cuts the trace-pairing kernel down
+RADICAL_CASES = [pytest.param(max_order, a, b, ell, id=f"{a}-{b}-{ell}")
+                 for a, b, ell in [(-1, -1, 2), (-1, 3, 2), (-1, 3, 3),
+                                   (-2, 5, 5), (1, 1, 2), (1, 1, 3)]] + [
+    pytest.param(max_order, Fraction(-3, 4), Fraction(5, 9), 5,
+                 id="a6-b6-5"),
+    pytest.param(standard, -1, -1, 2, id="standard--1--1-2"),
+    pytest.param(standard, 1, 1, 2, id="standard-1-1-2"),
+    pytest.param(standard, -1, 3, 2, id="standard--1-3-2"),
+    pytest.param(eichler_two, 1, 1, 2, id="eichler-1-1-2"),
+]
+
+
+@pytest.mark.parametrize("build,a,b,ell", RADICAL_CASES)
+def test_radical_matches_quasi_regularity(build, a, b, ell):
+    O = build(a, b)
     got = span_mod(od.radical_coords(O, ell), ell)
     assert got == quasi_regular_radical(O, ell)
 
@@ -469,7 +491,7 @@ def test_integer_structure_matches_quaternion_arithmetic(monkeypatch,
             assert (S is None) == (want is None), (O, ell)
             if S is not None:
                 steps += 1
-                assert od.Order(A, od._from_order_coords(O, S, ell)) == want
+                assert O.over(S, ell) == want
     assert steps >= len(algebras)
 
 
@@ -523,6 +545,76 @@ def test_order_constructions_build_no_quaternion_product(monkeypatch):
         od.splitting_data(O, 7, 3)
         for order, ell in ((O, 2), (O, 11), (E, 5), (E, 13)):
             od.left_ideals_of_norm(order, ell)
+
+
+def test_order_constructions_canonicalize_only_ambient_input(monkeypatch):
+    """New orders are built over old ones in integers: only the standard
+    order, given by ambient rows, goes through lattice_canonical."""
+    calls = []
+    real = la.lattice_canonical
+
+    def spy(M):
+        calls.append(M)
+        return real(M)
+
+    monkeypatch.setattr(la, "lattice_canonical", spy)
+    for a, b in [(-19, 5), (3, 7), (Fraction(-7, 6), Fraction(-11, 9)),
+                 (-1, 3)]:
+        calls.clear()
+        O = od.maximal_order(alg(a, b))
+        assert len(calls) == 1, (a, b)
+    calls.clear()
+    E = od.eichler_order(O, 35)
+    od.splitting_data(O, 7, 3)
+    for order, ell in ((O, 2), (O, 11), (E, 5), (E, 13)):
+        od.left_ideals_of_norm(order, ell)
+    build_ideal_tree(O, 5, 2)
+    assert calls == []
+
+
+WRONG_SHAPES = {
+    "empty": [],
+    "3x3": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    "4x3": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]],
+    "4x5": [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0],
+            [0, 0, 0, 1, 0]],
+    "ragged": [[1, 0, 0, 0], [0, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+}
+
+
+@pytest.mark.parametrize("rows", WRONG_SHAPES.values(), ids=WRONG_SHAPES)
+def test_wrong_shape_bases_are_not_full_rank(rows):
+    A = alg(-1, 3)
+    with pytest.raises(RankError):
+        od.Order(A, rows)
+    assert od.order_diagnostics(A, rows) == ["basis is not full rank"]
+
+
+# sha256 over order_to_json of the maximal orders of GRID_ALGEBRAS and of
+# their Eichler orders of level 5, 7 and 35 where prime to the discriminant
+# (or the name of the exception raised), frozen before Order moved to its
+# integer cleared basis
+GRID_ALGEBRAS = ([(a, b) for a in range(-8, 9) if a for b in range(1, 9)]
+                 + [(Fraction(1, 2), 3), (Fraction(1, 2), Fraction(-5, 2))])
+GRID_DIGEST = ("3e9d929092dafc7fe1721fb239d5e7fa"
+               "44d8b66cc1a4f9443bd329da16f12f48")
+
+
+def test_order_bases_over_a_grid_match_the_frozen_digest():
+    def dump(f, *args):
+        try:
+            out = od.order_to_json(f(*args))
+        except Exception as e:
+            out = type(e).__name__
+        return json.dumps(out, sort_keys=True).encode()
+
+    h = hashlib.sha256()
+    for a, b in GRID_ALGEBRAS:
+        h.update(dump(max_order, a, b))
+        for N in (5, 7, 35):
+            if gcd(N, alg(a, b).discriminant()) == 1:
+                h.update(dump(lambda: od.eichler_order(max_order(a, b), N)))
+    assert h.hexdigest() == GRID_DIGEST
 
 
 @pytest.mark.parametrize("ell", [1, 0, -3])
