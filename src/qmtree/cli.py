@@ -56,9 +56,9 @@ EXIT_CHECKS = 5
 
 def _fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
+        return od._parse_frac(text)
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _seed(args) -> int:
@@ -74,14 +74,14 @@ def _seed(args) -> int:
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, indent=2))
+    print(dsc.report_to_json(obj), end="")
 
 
 def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also numbers past the int-str digit limit
         raise ValidationError(f"{path}: not valid JSON ({exc})")
 
 
@@ -228,7 +228,7 @@ def _read_vertex_list(path):
     if text.lstrip().startswith("["):
         try:
             entries = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also numbers past the digit limit
             raise ValidationError(f"{path}: not valid JSON ({exc})")
         if not isinstance(entries, list):
             raise ValidationError(f"{path}: expected a JSON list")

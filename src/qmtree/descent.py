@@ -295,7 +295,7 @@ def load_scenario(path) -> GaloisScenario:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also numbers past the digit limit
             raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
     return scenario_from_json(obj)
 
@@ -726,7 +726,11 @@ def run_descent(s: GaloisScenario) -> dict:
 
 
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """The report as sorted, indented JSON: the CLI's one output format."""
+    try:
+        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    except ValueError as exc:  # an integer past the int-str digit limit
+        raise ResourceError(f"output too large to print: {exc}") from None
 
 
 def checks_pass(report: dict) -> bool:

@@ -5,13 +5,13 @@ stored as (B, d), B an integer HNF and d the least denominator of basis = B/d,
 and a left ideal as its integer HNF over its order, so equality of objects is
 equality of lattices; rational bases are derived on first read.  With D =
 den(a) den(b), the scaled product D (x y) of integer rows is integral, so the
-multiplication table, the trace and norm forms, the order check and the
-radical idealizer are exact integer back-substitutions over B, products
-inside an order run on integer coordinates through the table, and an order
-built over another is hnf(R B) over den d.  The two workhorse constructions
-are the left/right order of a lattice (an integrality computation) and the
-pullback of a local lattice to a left ideal through an explicit local
-splitting O (x) Z_ell ~ M2(Z_ell).
+multiplication table, the trace and norm forms and the order check are
+exact integer back-substitutions over B, products inside an order run on
+integer coordinates through the table, and an order built over another is
+hnf(R B) over den d.  Each maximalization step is the left order of one
+two-sided ideal, read off one kernel mod ell; the other workhorses are the
+left order of a lattice and the pullback of a local lattice to a left ideal
+through an explicit local splitting O (x) Z_ell ~ M2(Z_ell).
 """
 
 from __future__ import annotations
@@ -319,7 +319,10 @@ def radical_coords(order: Order, ell: int) -> List[Tuple[int, ...]]:
     is additive, x is a unit if nrd(x) is, and x is quasi-regular, nrd(1 - a
     x) = 1 for every a, if nrd(x) = 0.  At odd ell, 2 nrd(x) = trd(x)^2 -
     trd(x^2) vanishes on K, which is then the radical itself."""
-    form = _trace_norm_form(order)
+    return _radical(_trace_norm_form(order), ell)
+
+
+def _radical(form, ell: int) -> List[Tuple[int, ...]]:
     K = la.kernel_mod_p(_trace_pairing(form), ell)
     n = [_char_poly(form, x)[1] % ell for x in K]
     if not any(n):
@@ -337,24 +340,21 @@ def radical_lattice(order: Order, ell: int) -> la.RatMatrix:
                        *radical_coords(order, ell)]).basis
 
 
-def _radical_idealizer(order: Order, ell: int) -> la.IntMatrix | None:
-    """HNF over O's basis of ell O_L(J) for J = ell O + rad(O/ell O), or
-    None when O_L(J) = O.
-
-    J is a two-sided ideal containing ell O, so x J <= J puts ell x in O,
-    and ell O_L(J) = {c in O : c J <= ell J}: ell O plus the lifts of the
-    kernel of c -> (coordinates of c h over J's HNF, h in J's basis) mod
-    ell."""
-    T = _mult_table(order)
-    # J is ell O alone when the radical is zero
-    H = la.hnf_mod(radical_coords(order, ell) or [(0, 0, 0, 0)], ell, ell)
+def _idealizer(T, gens, ell: int) -> la.IntMatrix | None:
+    """HNF over O's basis of ell O_L(M), M = ell O + span(gens) a right ideal
+    of the order with table T that must be two-sided (else InvariantError),
+    or None when O_L(M) = O: as ell O <= M, ell O_L(M) = {c in O : c M <=
+    ell M}, ell O plus the lifts of the kernel of c -> (coordinates of c h
+    over M's HNF, h in M's basis) mod ell."""
+    # M is ell O alone when gens is empty
+    H = la.hnf_mod(gens or [(0, 0, 0, 0)], ell, ell)
     cols = []
     for g in la.identity(4):
         col = []
         for h in H:
             c = _int_coords(H, _mul(T, g, h))
             if c is None:
-                raise InvariantError(f"radical at {ell} is not an ideal")
+                raise InvariantError(f"the ideal at {ell} is not two-sided")
             col += c
         cols.append(col)
     K = la.kernel_mod_p(la.transpose(cols), ell)
@@ -378,40 +378,17 @@ def _split_char_roots(t: int, n: int, ell: int):
     return tuple(sorted(((t + w) * half % ell, (t - w) * half % ell)))
 
 
-def _lex_split_elements(form, ell: int):
-    """(c, roots) for each nonzero c in [0, ell)^4, lexicographically, whose
-    characteristic polynomial has distinct roots mod ell.
-
-    For odd ell, a block of c sharing a prefix on which the discriminant
-    t(c)^2 - 4 n(c) vanishes identically mod ell holds no such c and is
-    skipped: the discriminant has degree at most 2 < ell in each coordinate,
-    so it vanishes on the block iff its coefficients there do.  (The radical
-    of O/ell O is such a block, often the very first.)
-    """
+def _split_basis_vector(form, ell: int):
+    """(c, (r, s)): c the coordinates of the last basis vector with distinct
+    char roots r < s mod ell.  In an order Eichler of level ell at ell, x is
+    split iff its diagonal entries mod ell differ, a linear condition, so c
+    is the lexicographically first split element of [0, ell)^4."""
     t, q = form
-    D = {(i, j): (t[i] * t[j] * (1 if i == j else 2) - 4 * qij) % ell
-         for (i, j), qij in q.items()}
-
-    def dead(prefix):
-        k = len(prefix)
-        return (not any(D[i, j] for i in range(k, 4) for j in range(i, 4))
-                and not any(sum(D[i, j] * prefix[i] for i in range(k)) % ell
-                            for j in range(k, 4))
-                and sum(D[i, j] * prefix[i] * prefix[j] for i in range(k)
-                        for j in range(i, k)) % ell == 0)
-
-    def walk(prefix):
-        if len(prefix) == 4:
-            roots = _split_char_roots(*_char_poly(form, prefix), ell)
-            if roots is not None and any(prefix):
-                yield prefix, roots
-            return
-        for x in range(ell):
-            c = prefix + (x,)
-            if ell == 2 or len(c) == 4 or not dead(c):
-                yield from walk(c)
-
-    return walk(())
+    for i in (3, 2, 1, 0):
+        roots = _split_char_roots(t[i], q[i, i], ell)
+        if roots is not None:
+            return tuple(int(j == i) for j in range(4)), roots
+    raise InvariantError(f"no basis element splits at {ell}")
 
 
 def _split_idempotent(T, one, c, roots, ell: int, k: int) -> Tuple[int, ...]:
@@ -434,53 +411,37 @@ def _split_idempotent(T, one, c, roots, ell: int, k: int) -> Tuple[int, ...]:
     return e
 
 
-def _hereditary_split(order: Order, ell: int) -> Order:
-    """One step up from a hereditary non-maximal spot: ell exactly divides
-    the discriminant but the algebra is split at ell.  Radical idealizing
-    stalls here, so climb via a nontrivial idempotent e of O/ell O and
-    adjoin (1/ell) e O (1-e) (or the mirror image).
-
-    Over O's basis the candidate is H/ell, H the HNF of ell Z^4 plus the
-    coordinates of e O (1-e), so e is needed mod ell only.  It is an order
-    iff products of rows of H lie in ell H, and then an index-ell overorder
-    (det H = ell^3) has reduced discriminant d(O)/ell."""
-    T = _mult_table(order)
-    one = _unit_coords(order)
-    units = la.identity(4)
-    for c, roots in _lex_split_elements(_trace_norm_form(order), ell):
-        e = _split_idempotent(T, one, c, roots, ell, 1)
-        f = tuple(u - x for u, x in zip(one, e))
-        for left, right in ((e, f), (f, e)):
-            H = la.hnf_mod([_mul(T, _mul(T, left, g), right) for g in units],
-                           ell, ell)
-            ellH = la.mat_scale(ell, H)
-            if la.hnf_index(H) == ell ** 3 and all(
-                    la.lattice_contains(ellH, _mul(T, x, y))
-                    for x in H for y in H):
-                return order.over(H, ell)
-    raise InvariantError(f"no hereditary enlargement found at {ell}")
+def _climb(order: Order, ell: int, v: int) -> Order:
+    """The next order up at ell from O, v = v_ell(d(O)) above its maximal
+    value: O_L(M), M = J = ell O + rad(O/ell O) at v > 1, where O is not
+    hereditary at ell.  At v = 1 ell is split and O, of index ell in a
+    maximal order, is Eichler of level ell at ell: O_L(J) = O, and the
+    maximal orders over O are the left orders O + (1/ell) e O (1 - e) of
+    the maximal two-sided ideals J + e O, e idempotent.  M = J + (c - s) O,
+    c from _split_basis_vector, is J + e O for e lifting (c - s)/(r - s)."""
+    T, form = _mult_table(order), _trace_norm_form(order)
+    gens = _radical(form, ell)
+    if v == 1:
+        c, (_, s) = _split_basis_vector(form, ell)
+        x = tuple(ci - s * u for ci, u in zip(c, _unit_coords(order)))
+        gens += [_mul(T, x, g) for g in la.identity(4)]
+    S = _idealizer(T, gens, ell)
+    if S is None:
+        raise InvariantError(f"maximalization stalled at {ell} with "
+                             f"discriminant valuation {v}")
+    return order.over(S, ell)
 
 
 def maximalize_at(order: Order, ell: int) -> Order:
-    """Enlarge until v_ell(discriminant) is 1 (ramified) or 0 (split)."""
-    A = order.algebra
-    target = 1 if A.is_ramified_at(ell) else 0
-    O = order
+    """Enlarge by _climb until v_ell(d) is 1 (ramified) or 0 (split)."""
+    target = 1 if order.algebra.is_ramified_at(ell) else 0
     while True:
-        v = valuation(reduced_discriminant(O), ell)
+        v = valuation(reduced_discriminant(order), ell)
         if v == target:
-            return O
+            return order
         if v < target:
             raise InvariantError("discriminant below the ramified floor")
-        S = _radical_idealizer(O, ell)
-        if S is not None:
-            O = O.over(S, ell)
-            continue
-        # the radical idealizer fixes exactly the hereditary orders
-        if v != 1 or target != 0:
-            raise InvariantError(f"maximalization stalled at {ell} with "
-                                 f"discriminant valuation {v}")
-        O = _hereditary_split(O, ell)
+        order = _climb(order, ell, v)
 
 
 def maximal_order(A: QuaternionAlgebra) -> Order:
@@ -798,10 +759,6 @@ def left_ideals_of_norm(order: Order, ell: int,
     return out
 
 
-def _divisors(n: int) -> List[int]:
-    return sorted(d for d in range(1, n + 1) if n % d == 0)
-
-
 def enumerate_left_ideals(order: Order, n: int) -> List[LeftIdeal]:
     """Every left ideal of reduced norm n, by exhausting Hermite forms.
 
@@ -814,7 +771,7 @@ def enumerate_left_ideals(order: Order, n: int) -> List[LeftIdeal]:
         raise ResourceError(f"norm {n} exceeds the enumeration guard (13)")
     # columns of each M_t, so a row's image is one dot product per column
     cols = [tuple(zip(*Mt)) for Mt in _mult_table(order)]
-    divs = _divisors(n)
+    divs = [d for d in range(1, n + 1) if n % d == 0]
     target = n * n
     found = []
     for diag in product(divs, repeat=4):
@@ -843,9 +800,11 @@ def _frac_str(x) -> str:
 
 def _parse_frac(s) -> Fraction:
     try:
-        return Fraction(str(s))
+        f = Fraction(str(s))
+        str(f)  # past the int-to-str digit limit, f could not be printed
     except (ValueError, ZeroDivisionError) as e:
         raise ValidationError(f"bad rational {s!r}: {e}") from None
+    return f
 
 
 def _basis_to_json(B) -> List[List[str]]:

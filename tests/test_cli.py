@@ -178,8 +178,9 @@ def test_ideals_oracle_guard(capsys):
 
 
 # sha256 of stdout, frozen before the orders layer moved to integer
-# coordinates; these commands reach _hereditary_split (at 2, 5 and 19 for
-# (-19, 5)), the splittings, the norm-ell pullbacks at split, ramified and
+# coordinates; these commands reach the hereditary climb step of
+# maximalization (at 2, 5 and 19 for (-19, 5)), the splittings, the
+# norm-ell pullbacks at split, ramified and
 # level primes, and the ideal tree
 FROZEN_DIGESTS = [
     (["order", "maximal", "--a", "-19", "--b", "5"],
@@ -458,6 +459,48 @@ def test_bad_arguments_end_in_an_error_line(capsys, tmp_path, argv, want):
     err = capsys.readouterr().err
     assert code == want
     assert any(line.startswith("error:") for line in err.splitlines())
+
+
+# ------------------------------------------------ the int digit limit
+
+# integers past Python's int <-> str digit limit (4300 digits): a flag, a
+# JSON number literal in an order file, a scenario file and a vertex list,
+# and an order whose discriminant has too many digits to print
+IDENTITY = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+BIG = "7" * 5000
+DIGIT_LIMIT = {
+    "flag": (["qa", "info", "--a", "1e20000", "--b", "3"], "", 2),
+    "order-literal": (
+        ["order", "verify", "--order", "FILE"],
+        json.dumps({"algebra": {"a": "BIG", "b": 3}, "basis": IDENTITY}),
+        2),
+    "scenario-literal": (
+        ["descent", "run", "FILE"],
+        json.dumps({"D": "BIG", "generators": [], "local": {}}), 2),
+    "vertex-list-literal": (["bt", "center", "--vertices", "FILE"],
+                            json.dumps(["BIG"]), 2),
+    "discriminant-output": (
+        ["order", "discriminant", "--order", "FILE"],
+        json.dumps({"algebra": {"a": "1e2500", "b": "1e2500"},
+                    "basis": IDENTITY}), 4),
+}
+
+
+@pytest.mark.parametrize("argv,text,want", DIGIT_LIMIT.values(),
+                         ids=DIGIT_LIMIT)
+def test_numbers_past_the_digit_limit_end_in_one_error_line(tmp_path, argv,
+                                                           text, want):
+    path = tmp_path / "input.json"
+    path.write_text(text.replace('"BIG"', BIG), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "qmtree",
+         *(a.replace("FILE", str(path)) for a in argv)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == want
+    assert "Traceback" not in proc.stderr
+    assert len([line for line in proc.stderr.splitlines()
+                if "error:" in line]) == 1
 
 
 # ---------------------------------------------------------------- misc

@@ -264,8 +264,7 @@ def test_split_idempotent_matches_the_quaternion_hensel_lift():
         one = od._unit_coords(O)
         assert one == tuple(int(t) for t in O.coords(O.algebra.one()))
         for ell in (3, 7, 11):
-            split = od._lex_split_elements(od._trace_norm_form(O), ell)
-            for c, roots in islice(split, 20):
+            for c, roots in full_scan_split_elements(O, ell, 20):
                 for k in range(1, 5):
                     assert (od._split_idempotent(T, one, c, roots, ell, k)
                             == split_idempotent_reference(O, c, roots, ell,
@@ -273,18 +272,20 @@ def test_split_idempotent_matches_the_quaternion_hensel_lift():
 
 
 def hereditary_inputs(monkeypatch, algebras):
-    """The (order, ell) pairs maximal_order hands to _hereditary_split."""
+    """The (order, ell) pairs at which maximal_order climbs out of a
+    hereditary order: the _climb steps at discriminant valuation 1."""
     seen = []
-    real = od._hereditary_split
+    real = od._climb
 
-    def spy(order, ell):
-        seen.append((order, ell))
-        return real(order, ell)
+    def spy(order, ell, v):
+        if v == 1:
+            seen.append((order, ell))
+        return real(order, ell, v)
 
-    monkeypatch.setattr(od, "_hereditary_split", spy)
+    monkeypatch.setattr(od, "_climb", spy)
     for a, b in algebras:
         od.maximal_order(alg(a, b))
-    monkeypatch.setattr(od, "_hereditary_split", real)
+    monkeypatch.setattr(od, "_climb", real)
     return seen
 
 
@@ -308,7 +309,7 @@ def test_split_idempotent_errors_name_the_prime():
     O = max_order(-1, 3)
     T, one = od._mult_table(O), od._unit_coords(O)
     for ell in (101, 103):
-        c, (r, s) = next(od._lex_split_elements(od._trace_norm_form(O), ell))
+        c, (r, s) = full_scan_split_elements(O, ell, 1)[0]
         # (x - s)/(r' - s) squares to (r - s)/(r' - s) times itself
         wrong = ((r + 1) % ell if (r + 1) % ell != s else (r + 2) % ell, s)
         with pytest.raises(InvariantError, match=f"mod {ell}\\^1"):
@@ -476,7 +477,7 @@ def test_integer_structure_matches_quaternion_arithmetic(monkeypatch,
                                                          algebras):
     orders = visited_orders(monkeypatch, algebras)
     assert len(orders) > 2 * len(algebras)
-    steps = 0
+    steps = hereditary = 0
     for O in orders:
         A = O.algebra
         assert od._mult_table(O) == mult_table_reference(O), O
@@ -485,14 +486,22 @@ def test_integer_structure_matches_quaternion_arithmetic(monkeypatch,
                                            for t in O.coords(A.one()))
         assert od.order_diagnostics(A, O.basis) == []
         assert order_diagnostics_reference(A, O.basis) == []
-        for ell, _ in factorize(od.reduced_discriminant(O)):
-            S = od._radical_idealizer(O, ell)
+        d = od.reduced_discriminant(O)
+        for ell, _ in factorize(d):
+            S = od._idealizer(od._mult_table(O), od.radical_coords(O, ell),
+                              ell)
             want = radical_idealizer_reference(O, ell)
             assert (S is None) == (want is None), (O, ell)
+            # None exactly at valuation 1: O is maximal at a ramified ell
+            # and hereditary at a split one, where _climb adds (c - s) O
+            assert (S is None) == (od.valuation(d, ell) == 1), (O, ell)
             if S is not None:
                 steps += 1
                 assert O.over(S, ell) == want
+            elif not A.is_ramified_at(ell):
+                hereditary += 1
     assert steps >= len(algebras)
+    assert hereditary >= 1
 
 
 NON_ORDERS = {
@@ -632,21 +641,24 @@ def test_order_repr_computes_nothing():
                        "[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])")
 
 
-def full_scan_split_elements(order, ell, count):
-    """The first split elements of the unpruned lexicographic scan."""
+def lex_split_elements(order, ell):
+    """(c, roots) for each nonzero c in [0, ell)^4, lexicographically, whose
+    characteristic polynomial has distinct roots mod ell: an unpruned scan
+    through quaternion arithmetic."""
     A = order.algebra
     elts = order.elements()
-    out = []
     for c in product(range(ell), repeat=4):
         if not any(c):
             continue
         x = sum((ci * e for ci, e in zip(c, elts)), A.element(0))
         roots = brute_split_roots(int(x.trd()), int(x.nrd()), ell)
         if roots is not None:
-            out.append((c, roots))
-            if len(out) == count:
-                return out
-    return out
+            yield c, roots
+
+
+def full_scan_split_elements(order, ell, count):
+    """The first split elements of the unpruned lexicographic scan."""
+    return list(islice(lex_split_elements(order, ell), count))
 
 
 # algebras split at one odd prime below 30 (some also at 2), plus one split
@@ -656,25 +668,19 @@ HEREDITARY_CASES = [(7, -13), (-85, 91), (-5, 31), (35, -83), (15, 89),
                     (-23, -38), (-2, 19), (-22, 83)]
 
 
-def test_pruned_split_search_keeps_the_first_split_elements(monkeypatch):
+def test_split_basis_vector_is_the_first_split_element(monkeypatch):
+    """The hereditary step adjoins (c - s) O for the split basis vector c,
+    which must be the first split element of the lexicographic scan: that
+    element fixes which maximal order comes back."""
     seen = []
-    real = od._hereditary_split
-
-    def spy(order, ell):
-        seen.append((order, ell))
-        return real(order, ell)
-
-    monkeypatch.setattr(od, "_hereditary_split", spy)
     for a, b in HEREDITARY_CASES:
-        before = len(seen)
-        od.maximal_order(alg(a, b))
-        assert len(seen) > before, (a, b)
+        found = hereditary_inputs(monkeypatch, [(a, b)])
+        assert found, (a, b)
+        seen += found
     assert len(seen) >= 10
     for O, ell in seen:
-        want = full_scan_split_elements(O, ell, 3)
-        got = list(islice(od._lex_split_elements(od._trace_norm_form(O), ell),
-                          len(want)))
-        assert got == want, (O, ell)
+        assert (od._split_basis_vector(od._trace_norm_form(O), ell)
+                == full_scan_split_elements(O, ell, 1)[0]), (O, ell)
 
 
 def hereditary_split_reference(order, ell):
@@ -683,7 +689,7 @@ def hereditary_split_reference(order, ell):
     their reduced discriminant."""
     A = order.algebra
     d = od.reduced_discriminant(order)
-    for c, roots in od._lex_split_elements(od._trace_norm_form(order), ell):
+    for c, roots in lex_split_elements(order, ell):
         ec = split_idempotent_reference(order, c, roots, ell, 4)
         e = A.element(*la.mat_mul((ec,), order.basis)[0])
         for left, right in ((e, A.one() - e), (A.one() - e, e)):
@@ -704,16 +710,16 @@ def test_hereditary_split_matches_the_quaternion_construction(monkeypatch):
     seen = hereditary_inputs(monkeypatch, [(-19, 5)] + HEREDITARY_CASES)
     assert {ell for O, ell in seen[:3]} == {2, 5, 19}
     for O, ell in seen:
-        assert od._hereditary_split(O, ell) == hereditary_split_reference(
+        assert od._climb(O, ell, 1) == hereditary_split_reference(
             O, ell), (O, ell)
 
 
 def test_maximal_order_has_no_hereditary_enlargement():
-    # at a split prime of a maximal order, O + (1/ell) e O (1-e) has index
-    # ell over O but is not closed under products
-    with pytest.raises(InvariantError, match="no hereditary enlargement "
-                                             "found at 3"):
-        od._hereditary_split(max_order(-2, 5), 3)
+    # at a split prime of a maximal order, J + (c - s) O is a right ideal
+    # that is not two-sided, and O + (1/ell) e O (1-e) has index ell over O
+    # but is not closed under products
+    with pytest.raises(InvariantError, match="ideal at 3 is not two-sided"):
+        od._climb(max_order(-2, 5), 3, 1)
     with pytest.raises(AssertionError, match="no hereditary enlargement"):
         hereditary_split_reference(max_order(-2, 5), 3)
 
