@@ -411,14 +411,15 @@ def _split_idempotent(T, one, c, roots, ell: int, k: int) -> Tuple[int, ...]:
     return e
 
 
-def _climb(order: Order, ell: int, v: int) -> Order:
-    """The next order up at ell from O, v = v_ell(d(O)) above its maximal
-    value: O_L(M), M = J = ell O + rad(O/ell O) at v > 1, where O is not
-    hereditary at ell.  At v = 1 ell is split and O, of index ell in a
-    maximal order, is Eichler of level ell at ell: O_L(J) = O, and the
-    maximal orders over O are the left orders O + (1/ell) e O (1 - e) of
-    the maximal two-sided ideals J + e O, e idempotent.  M = J + (c - s) O,
-    c from _split_basis_vector, is J + e O for e lifting (c - s)/(r - s)."""
+def _climb(order: Order, ell: int, v: int) -> Tuple[Order, int]:
+    """The next order O' up at ell from O, and v_ell(d(O')), for v =
+    v_ell(d(O)) above its maximal value: O' = O_L(M), M = J = ell O +
+    rad(O/ell O) at v > 1, where O is not hereditary at ell.  At v = 1 ell
+    is split and O, of index ell in a maximal order, is Eichler of level
+    ell at ell: O_L(J) = O, and the maximal orders over O are the left
+    orders O + (1/ell) e O (1 - e) of the maximal two-sided ideals J + e O,
+    e idempotent.  M = J + (c - s) O, c from _split_basis_vector, is J + e O
+    for e lifting (c - s)/(r - s)."""
     T, form = _mult_table(order), _trace_norm_form(order)
     gens = _radical(form, ell)
     if v == 1:
@@ -429,19 +430,21 @@ def _climb(order: Order, ell: int, v: int) -> Order:
     if S is None:
         raise InvariantError(f"maximalization stalled at {ell} with "
                              f"discriminant valuation {v}")
-    return order.over(S, ell)
+    # ell O' has HNF S over O, so [O' : O] = ell^4 / det S, and d(O) =
+    # d(O') [O' : O]
+    return order.over(S, ell), v - 4 + valuation(la.hnf_index(S), ell)
 
 
 def maximalize_at(order: Order, ell: int) -> Order:
-    """Enlarge by _climb until v_ell(d) is 1 (ramified) or 0 (split)."""
+    """Enlarge by _climb until v_ell(d) is 1 (ramified) or 0 (split).  The
+    valuation is read off d once and then carried by _climb."""
     target = 1 if order.algebra.is_ramified_at(ell) else 0
-    while True:
-        v = valuation(reduced_discriminant(order), ell)
-        if v == target:
-            return order
+    v = valuation(reduced_discriminant(order), ell)
+    while v != target:
         if v < target:
             raise InvariantError("discriminant below the ramified floor")
-        order = _climb(order, ell, v)
+        order, v = _climb(order, ell, v)
+    return order
 
 
 def maximal_order(A: QuaternionAlgebra) -> Order:

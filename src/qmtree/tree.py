@@ -2,19 +2,22 @@
 
 A vertex is a homothety class of rank-2 lattices over the ell-adic integers.
 Every class has a unique primitive integer representative in row Hermite
-form [[a, b], [0, d]] with a, d powers of ell and 0 <= b < d, which is what
-TreeVertex stores; all tree operations reduce to exact integer matrix work
-on these representatives.
+form [[a, b], [0, d]] with a, d powers of ell and 0 <= b < d; all tree
+operations reduce to exact integer matrix work on these representatives.
+
+TreeVertex is a named tuple (ell, mat) of that prime and representative, so
+building, comparing and hashing vertices runs in C.  A vertex equals, and
+hashes like, the plain tuple (ell, mat); tuples order by ell first, and
+vertices of one prime order as their key() (a, b, d).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from bisect import bisect_left
 from functools import lru_cache
 from math import gcd
-from operator import attrgetter
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from . import linalg as la
 from .errors import (InvariantError, PreconditionError, RankError,
@@ -32,23 +35,15 @@ _MAX_PATH = 2048
 
 # ---------------------------------------------------------------- vertices
 
-@dataclass(frozen=True)
-class TreeVertex:
+class TreeVertex(NamedTuple):
     ell: int
     mat: Mat2i
 
     def key(self) -> Tuple[int, int, int]:
         return (self.mat[0][0], self.mat[0][1], self.mat[1][1])
 
-    def __lt__(self, other: "TreeVertex"):
-        # ((a, b), (0, d)) orders exactly as key() = (a, b, d)
-        return self.mat < other.mat
-
     def __repr__(self):
         return format_vertex(self)
-
-
-_MAT = attrgetter("mat")
 
 
 def format_vertex(v: TreeVertex) -> str:
@@ -139,20 +134,24 @@ def _reduce(ell: int, H: Mat2i) -> TreeVertex:
         a //= ell
         b //= ell
         d //= ell
-    v = TreeVertex(ell, ((a, b), (0, d)))
-    _check_canonical(v)
-    return v
+    mat = ((a, b), (0, d))
+    if not _is_canonical(ell, mat):
+        raise InvariantError(f"non-canonical vertex matrix {mat}")
+    return TreeVertex(ell, mat)
 
 
-def _check_canonical(v: TreeVertex) -> None:
-    ell = v.ell
-    (a, b), (z, d) = v.mat
+def _is_canonical(ell: int, mat) -> bool:
+    """mat is ((a, b), (0, d)) in integers, a and d powers of ell, 0 <= b <
+    d, and ell does not divide all of a, b and d."""
+    try:
+        (a, b), (z, d) = mat
+    except (TypeError, ValueError):
+        return False
     # for a, d >= 1 both are ell-powers exactly when a*d is
-    ok = (z == 0 and a >= 1 and d >= 1 and 0 <= b < d
-          and _is_ell_power(a * d, ell)
-          and (a % ell or b % ell or d % ell))
-    if not ok:
-        raise InvariantError(f"non-canonical vertex matrix {v.mat}")
+    return (type(a) is type(b) is type(z) is type(d) is int
+            and z == 0 and a >= 1 and d >= 1 and 0 <= b < d
+            and _is_ell_power(a * d, ell)
+            and (a % ell or b % ell or d % ell) != 0)
 
 
 def _is_ell_power(n: int, ell: int) -> bool:
@@ -168,9 +167,11 @@ def root(ell: int) -> TreeVertex:
 def index_ell_sublattices(L: Mat2i, ell: int) -> List[Mat2i]:
     """Row HNF bases of the ell+1 index-ell sublattices of rowspan(L).
 
-    L is in row HNF ((a, b), (0, d)).  Each sublattice is ell*L plus one
-    line of L/ell*L: r1 + t*r2 for t = 0..ell-1, then r2, in that order.
-    An ell above orders._MAX_ELL raises ResourceError.
+    L is in row HNF ((a, b), (0, d)), any lattice rather than a canonical
+    vertex: the ideal tree walks honest local lattices with it.  Each
+    sublattice is ell*L plus one line of L/ell*L: r1 + t*r2 for t = 0..ell-1,
+    then r2, in that order.  An ell above orders._MAX_ELL raises
+    ResourceError.
     """
     _check_line_count(ell)
     (a, b), (_, d) = L
@@ -180,13 +181,51 @@ def index_ell_sublattices(L: Mat2i, ell: int) -> List[Mat2i]:
 
 
 def neighbors(v: TreeVertex) -> Tuple[TreeVertex, ...]:
-    """The ell+1 classes of index-ell sublattices, in key order."""
+    """The ell+1 vertices next to v, in key order.
+
+    They are the classes of the index-ell sublattices of v's lattice
+    (Serre, Trees, II.1), in closed form for v = ((a, b), (0, d)): the
+    lines r1 + t*r2, t < ell, give ((a, b + t*d), (0, ell*d)), already in
+    HNF as b < d, and the line r2 gives ((ell*a, ell*b mod d), (0, d)).
+    Exactly one of these lattices is divisible by ell: the r2 one (the
+    parent) when d > 1, the t = 0 one when d = 1 and ell | a, and none at
+    the root.  Only that lattice and the r2 one go through _reduce.
+
+    Raises PreconditionError for a composite ell and then for a v that is
+    not canonical (hand-built, say with b >= d or with ell dividing every
+    entry); an ell above orders._MAX_ELL raises ResourceError.
+    """
     ell = v.ell
     _check_prime(ell)
-    out = {_reduce(ell, L) for L in index_ell_sublattices(v.mat, ell)}
+    if not _is_canonical(ell, v.mat):
+        raise PreconditionError(f"non-canonical vertex matrix {v.mat} "
+                                f"at {ell}")
+    _check_line_count(ell)
+    (a, b), (_, d) = v.mat
+    # v's canonicity gives every child ((a, c), (0, ell*d)), c = b + t*d,
+    # its own: a and ell*d are ell-powers and 0 <= c < ell*d as b < d.  As
+    # ell | ell*d, a child is imprimitive only if ell | a and ell | c.  When
+    # ell | a, v is primitive, so either d > 1, ell | d and ell does not
+    # divide b = c mod ell, or d = 1, b = 0 and c = t: only t = 0 is
+    # imprimitive, and it is reduced with the r2 lattice below.  The
+    # children's keys (a, c, ell*d) increase with c.
+    row = (0, ell * d)
+    skip = d == 1 and a % ell == 0
+    # tuple.__new__ skips the Python-level __new__ of the named tuple
+    new = tuple.__new__
+    out = [new(TreeVertex, (ell, ((a, c), row)))
+           for c in range(b + d if skip else b, ell * d, d)]
+    special = [_reduce(ell, ((ell * a, ell * b % d), (0, d)))]
+    if skip:
+        special.append(_reduce(ell, ((a, b), row)))
+    # one prime: tuple order is key order
+    for w in special:
+        i = bisect_left(out, w)
+        if out[i:i + 1] != [w]:
+            out.insert(i, w)
     if len(out) != ell + 1:
         raise InvariantError("neighbor classes collided")
-    return tuple(sorted(out, key=_MAT))
+    return tuple(out)
 
 
 def distance(u: TreeVertex, v: TreeVertex) -> int:
@@ -251,7 +290,7 @@ def ball(center: TreeVertex, radius: int) -> List[TreeVertex]:
                 if u not in seen:
                     seen.add(u)
                     nxt.append(u)
-        nxt.sort(key=_MAT)
+        nxt.sort()
         out.extend(nxt)
         frontier = nxt
     return out

@@ -245,6 +245,22 @@ def test_bt_neighbors_prime_mismatch(capsys):
     assert code == 2
 
 
+def test_bt_neighbors_at_the_largest_prime_within_the_line_guard():
+    ell = 16381
+    assert is_prime(ell) and not any(
+        is_prime(p) for p in range(ell + 1, od._MAX_ELL + 1))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qmtree", "bt", "neighbors", "--v",
+         f"{ell}:[[1,0],[0,1]]"],
+        capture_output=True,
+    )
+    assert proc.returncode == 0
+    assert len(json.loads(proc.stdout)["neighbors"]) == ell + 1
+    # frozen before neighbors moved to its closed form
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "68e84a091fdcce04adca82d592bc80f34af93b1004f9ab9e4ebfde3b541680e6")
+
+
 def test_bt_distance_and_geodesic(capsys):
     code, obj = run_json(capsys, "bt", "distance", "--u", "2:[[1,0],[0,1]]",
                          "--v", "2:[[1,0],[0,4]]")

@@ -455,17 +455,24 @@ FRACTIONAL_ALGEBRAS = [(Fraction(1, 2), 3), (Fraction(-3, 4), Fraction(5, 9)),
 
 
 def visited_orders(monkeypatch, algebras):
-    """Every order whose discriminant maximal_order reads on the way up:
-    the standard order, each intermediate order and the maximal one."""
+    """Every order maximal_order reaches on the way up: the standard order,
+    each intermediate order and the maximal one, as the orders whose
+    discriminant it reads and the orders _climb returns."""
     seen = {}
-    real = od.reduced_discriminant
+    real_disc, real_climb = od.reduced_discriminant, od._climb
 
-    def spy(order):
+    def disc(order):
         seen.setdefault(order, None)
-        return real(order)
+        return real_disc(order)
+
+    def climb(order, ell, v):
+        up, w = real_climb(order, ell, v)
+        seen.setdefault(up, None)
+        return up, w
 
     with monkeypatch.context() as mp:
-        mp.setattr(od, "reduced_discriminant", spy)
+        mp.setattr(od, "reduced_discriminant", disc)
+        mp.setattr(od, "_climb", climb)
         for a, b in algebras:
             od.maximal_order(alg(a, b))
     return list(seen)
@@ -626,6 +633,53 @@ def test_order_bases_over_a_grid_match_the_frozen_digest():
     assert h.hexdigest() == GRID_DIGEST
 
 
+# sha256 over order_to_json of maximal orders with large square parts in a,
+# frozen before maximalize_at carried the discriminant valuation through
+# its steps
+LARGE_SQUARE_DIGESTS = {
+    (2 * 10 ** 300, 3):
+        "01a2f91fa65b1371c639285ffaa69bc3dbb86da92e32878da2a0bfed142c27d7",
+    (2 * 10 ** 300, -7):
+        "4935fdd7a002bc1fd18c36cad2e95d6dddea669885f6b5f90c39f50f0bd1fb96",
+    (7 * 3 ** 500, 3):
+        "436ac7d4f3ba5cf6c27e7eab76b06c7a8c2b86816f295d813eb75aad13a554fa",
+    (7 * 3 ** 500, -7):
+        "be294df00f9ee3122e4f2dc9f82a62201b1f3daec2abba6098c8a6026524792e",
+    (-5 ** 400, 3):
+        "3ae5b4a1c6257fa8310037d7950f8d67f961df7cf925144077a96dc2103c70a4",
+    (-5 ** 400, -7):
+        "fd1d7a0ed3e49c3dc3b03a0c16569d0facba7a85f1775cd074005d5fb83e5ec2",
+}
+
+
+@pytest.mark.parametrize("ab,digest", LARGE_SQUARE_DIGESTS.items(),
+                         ids=["2e300,3", "2e300,-7", "7*3^500,3",
+                              "7*3^500,-7", "-5^400,3", "-5^400,-7"])
+def test_large_square_parts_match_the_frozen_digest(ab, digest):
+    out = od.order_to_json(od.maximal_order(alg(*ab)))
+    text = json.dumps(out, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_climb_returns_the_valuation_of_the_new_discriminant(monkeypatch):
+    steps = []
+    real = od._climb
+
+    def spy(order, ell, v):
+        assert od.valuation(od.reduced_discriminant(order), ell) == v
+        up, w = real(order, ell, v)
+        steps.append((ell, v, w))
+        assert od.valuation(od.reduced_discriminant(up), ell) == w
+        return up, w
+
+    monkeypatch.setattr(od, "_climb", spy)
+    for a, b in [(-19, 5), (4 * 27, -25), (2 ** 9, 3)] + HEREDITARY_CASES:
+        od.maximal_order(alg(a, b))
+    # steps at valuation 1 and steps that drop it by 2 were both taken
+    assert any(v == 1 for _, v, _ in steps)
+    assert any(v - w >= 2 for _, v, w in steps)
+
+
 @pytest.mark.parametrize("ell", [1, 0, -3])
 def test_valuation_rejects_a_base_below_two(ell):
     with pytest.raises(PreconditionError, match=f"valuation at {ell}"):
@@ -710,7 +764,7 @@ def test_hereditary_split_matches_the_quaternion_construction(monkeypatch):
     seen = hereditary_inputs(monkeypatch, [(-19, 5)] + HEREDITARY_CASES)
     assert {ell for O, ell in seen[:3]} == {2, 5, 19}
     for O, ell in seen:
-        assert od._climb(O, ell, 1) == hereditary_split_reference(
+        assert od._climb(O, ell, 1)[0] == hereditary_split_reference(
             O, ell), (O, ell)
 
 

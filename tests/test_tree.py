@@ -119,6 +119,47 @@ def test_prime_guard_on_hand_built_vertices():
     assert bt._check_prime.cache_info().maxsize is not None
 
 
+# hand-built matrices that are not canonical vertices at 2
+NON_CANONICAL = {
+    "imprimitive": ((2, 0), (0, 2)),
+    "b-equal-to-d": ((1, 1), (0, 1)),
+    "b-above-d": ((1, 5), (0, 2)),
+    "negative-b": ((1, -1), (0, 2)),
+    "a-not-an-ell-power": ((3, 0), (0, 1)),
+    "d-not-an-ell-power": ((1, 0), (0, 6)),
+    "zero-a": ((0, 0), (0, 1)),
+    "not-upper-triangular": ((1, 0), (1, 1)),
+    "float-entry": ((1.0, 0), (0, 1)),
+    "not-2x2": ((1, 0),),
+}
+
+
+@pytest.mark.parametrize("mat", NON_CANONICAL.values(), ids=NON_CANONICAL)
+def test_neighbors_reject_hand_built_non_canonical_vertices(mat):
+    with pytest.raises(PreconditionError, match="non-canonical vertex"):
+        bt.neighbors(bt.TreeVertex(2, mat))
+    # the prime is checked first
+    with pytest.raises(PreconditionError, match="6 is not a prime"):
+        bt.neighbors(bt.TreeVertex(6, mat))
+
+
+def test_vertex_is_a_tuple():
+    vs = bt.ball(bt.root(3), 2)
+    for v in vs:
+        assert hash(v) == hash((v.ell, v.mat))
+        assert v == (v.ell, v.mat)
+        assert repr(v) == bt.format_vertex(v)
+    shuffled = list(reversed(vs))
+    assert sorted(shuffled) == sorted(shuffled, key=bt.TreeVertex.key)
+    v = vs[-1]
+    with pytest.raises(AttributeError):
+        v.ell = 5
+    with pytest.raises(AttributeError):
+        v.mat = ((1, 0), (0, 1))
+    with pytest.raises(AttributeError):
+        v.extra = 1
+
+
 def test_vertex_text_roundtrip():
     for ell in (2, 3, 5):
         for v in bt.ball(bt.root(ell), 2):

@@ -1,8 +1,9 @@
 """Property tests for the lattice-class tree: closed-form neighbors against
-canonicalizing every index-ell sublattice, canonical forms under changes of
-basis and scaling, the path laws of geodesic and distance, localization as
-the inverse of the pullback from vertices to ideals, and the laws of the
-center of a vertex set."""
+canonicalizing every index-ell sublattice, on random vertices and on each
+branch of the closed form, canonical forms under changes of basis and
+scaling, the path laws of geodesic and distance, localization as the
+inverse of the pullback from vertices to ideals, and the laws of the center
+of a vertex set."""
 
 import functools
 from fractions import Fraction
@@ -61,14 +62,52 @@ def unimodular(draw):
     return U
 
 
+def canonicalized_sublattices(v):
+    """The neighbor oracle: every index-ell sublattice canonicalized, in key
+    order."""
+    ell = v.ell
+    return tuple(sorted({bt.canonicalize(ell, L)
+                         for L in bt.index_ell_sublattices(v.mat, ell)},
+                        key=bt.TreeVertex.key))
+
+
 @settings(max_examples=120, deadline=None)
 @given(vertex())
 def test_neighbors_match_canonicalized_sublattices(v):
-    ell = v.ell
-    want = tuple(sorted({bt.canonicalize(ell, L)
-                         for L in bt.index_ell_sublattices(v.mat, ell)}))
-    assert bt.neighbors(v) == want
-    assert bt.canonicalize(ell, v.mat) == v
+    assert bt.neighbors(v) == canonicalized_sublattices(v)
+    assert bt.canonicalize(v.ell, v.mat) == v
+
+
+def branch_vertices(ell, branch):
+    """Vertices ((ell^i, b), (0, ell^j)) up to depth i + j = 10 on which
+    neighbors takes one branch: the root, d = 1 with ell | a (the t = 0
+    line is the divisible one) and d > 1 (the r2 line is)."""
+    if branch == "root":
+        return [bt.root(ell)]
+    if branch == "d=1":
+        return [bt.TreeVertex(ell, ((ell ** i, 0), (0, 1)))
+                for i in range(1, 11)]
+    out = []
+    for depth in range(1, 11):
+        for j in sorted({1, (depth + 1) // 2, depth}):
+            a, d = ell ** (depth - j), ell ** j
+            for b in sorted({0, 1, d // 2, d - 1}):
+                if a % ell or b % ell:
+                    out.append(bt.TreeVertex(ell, ((a, b), (0, d))))
+    return out
+
+
+@pytest.mark.parametrize("branch", ["root", "d=1", "d>1"])
+@pytest.mark.parametrize("ell", PRIMES)
+def test_neighbors_match_the_oracle_on_each_branch(ell, branch):
+    vs = branch_vertices(ell, branch)
+    assert vs
+    for v in vs:
+        nb = bt.neighbors(v)
+        assert nb == canonicalized_sublattices(v), v
+        assert len(nb) == ell + 1
+        keys = [w.key() for w in nb]
+        assert all(x < y for x, y in zip(keys, keys[1:])), v
 
 
 @settings(max_examples=300, deadline=None)
