@@ -6,6 +6,7 @@ ideals of the same norm.
 """
 
 import functools
+import hashlib
 
 import pytest
 
@@ -196,6 +197,41 @@ def test_isogeny_degree_bookkeeping():
     ds = it.isogeny_degree(scaled)
     assert (ds.norm, ds.content, ds.primitive_norm) == (20, 2, 5)
     assert not ds.is_multiplication
+
+
+# sha256 of tree_to_dot plus each node's (depth, parent, children, local,
+# ideal.order_coords) repr, frozen while children came from the index-ell
+# sublattices of an honest local lattice with the imprimitive step filtered
+# out; (a, b, level), ell, depth, seed.  2 and 3 divide the discriminant 6
+# of (-1, 3), so its level-35 Eichler order is walked at 11.
+IDEAL_TREE_DIGESTS = {
+    ((-1, 3, 1), 5, 3, 0):
+        "e9728921e5dba1c958081464ff946ae2b9e48e0437b1b20d4de56343d553b317",
+    ((-2, 5, 1), 3, 3, 7):
+        "c8f46499c3af4bc19893e2eb4be55b29a8721a6500e2364e3381f310b9664c04",
+    ((-1, 3, 35), 11, 3, 0):
+        "5d86fa4fd77016087ca044bd1dc1eabf2f83e946077499181490cb26e45ff569",
+    ((-1, 7, 1), 13, 2, 0):
+        "869e708f83961cb292aa9af7801a1611e3284a26e5b7e5c7f944d5a49b844b52",
+    ((-1, 3, 1), 101, 1, 0):
+        "d50415c3387968cfbb513debeee7314e7a849f47fb689e58d43c329caf2a0e7c",
+}
+
+
+@pytest.mark.parametrize("case,digest", IDEAL_TREE_DIGESTS.items(),
+                         ids=[f"{a},{b};N={n};l={ell};depth={k};seed={s}"
+                              for (a, b, n), ell, k, s in IDEAL_TREE_DIGESTS])
+def test_ideal_tree_matches_the_frozen_digest(case, digest):
+    (a, b, level), ell, depth, seed = case
+    O = max_order(a, b)
+    if level > 1:
+        O = od.eichler_order(O, level)
+    tr = it.build_ideal_tree(O, ell, depth, seed)
+    h = hashlib.sha256(it.tree_to_dot(tr).encode())
+    for n in tr.nodes:
+        h.update(repr((n.depth, n.parent, n.children, n.local,
+                       n.ideal.order_coords)).encode())
+    assert h.hexdigest() == digest
 
 
 def test_dot_export_is_stable_and_complete():
