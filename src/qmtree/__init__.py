@@ -37,7 +37,7 @@ from .orders import (
 )
 from .tree import TreeVertex, distance, geodesic, localize_ideal, neighbors
 from .center import Center, spanned_subtree, tree_center
-from .ideal_tree import build_ideal_tree, isogeny_degree, tree_to_dot
+from .ideal_tree import build_ideal_tree, tree_to_dot
 from .descent import (
     AdelicPoint,
     GaloisScenario,
@@ -81,7 +81,6 @@ __all__ = [
     "galois_twist",
     "geodesic",
     "hilbert_symbol",
-    "isogeny_degree",
     "left_ideals_of_norm",
     "localize_ideal",
     "maximal_order",

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Iterable, List, Tuple
 
 from .errors import PreconditionError
-from .tree import TreeVertex, distance, geodesic
+from .tree import TreeVertex, _check_vertex, distance, geodesic
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,17 @@ def _center_of_pair(u: TreeVertex, v: TreeVertex) -> Center:
     return Center("edge", (lo, hi))
 
 
+def _members(vertices: Iterable[TreeVertex], what: str) -> List[TreeVertex]:
+    # each checked before the set, where a float twin of a vertex merges
+    # with it, and before distance, which does not check
+    vs = list(vertices)
+    if not vs:
+        raise PreconditionError(f"{what} of an empty set")
+    for v in vs:
+        _check_vertex(v)
+    return sorted(set(vs))
+
+
 def tree_center(vertices: Iterable[TreeVertex]) -> Center:
     """Midpoint of a diametral pair of the set.
 
@@ -38,9 +49,7 @@ def tree_center(vertices: Iterable[TreeVertex]) -> Center:
     member, then the member farthest from that one.  In a tree this pair is
     diametral, and all diametral pairs share their midpoint.
     """
-    vs = sorted(set(vertices))
-    if not vs:
-        raise PreconditionError("center of an empty set")
+    vs = _members(vertices, "center")
     a = max(vs, key=lambda w: distance(vs[0], w))
     b = max(vs, key=lambda w: distance(a, w))
     return _center_of_pair(a, b)
@@ -55,9 +64,7 @@ class Subtree:
 def spanned_subtree(vertices: Iterable[TreeVertex]) -> Subtree:
     """Smallest connected subtree containing the set: the union of the
     geodesics from one member to all the others."""
-    vs = sorted(set(vertices))
-    if not vs:
-        raise PreconditionError("span of an empty set")
+    vs = _members(vertices, "span")
     # one object per vertex, shared by the node list and the edges
     node = {v: v for v in vs}
     edges = set()

@@ -23,7 +23,7 @@ from . import linalg as la
 from .errors import (InvariantError, PreconditionError, RankError,
                      ResourceError, ValidationError)
 from .orders import (LeftIdeal, SplittingData, _check_line_count,
-                     splitting_data, valuation)
+                     _pullback, splitting_data, valuation)
 from .quaternion import is_prime
 
 Mat2i = Tuple[Tuple[int, int], Tuple[int, int]]
@@ -160,24 +160,18 @@ def _is_ell_power(n: int, ell: int) -> bool:
     return n == 1
 
 
+def _check_vertex(v: TreeVertex) -> None:
+    """PreconditionError for a composite v.ell, then for a v.mat that is not
+    canonical (hand-built, say with b >= d or ell dividing every entry)."""
+    _check_prime(v.ell)
+    if not _is_canonical(v.ell, v.mat):
+        raise PreconditionError(f"non-canonical vertex matrix {v.mat} "
+                                f"at {v.ell}")
+
+
 def root(ell: int) -> TreeVertex:
-    return canonicalize(ell, ((1, 0), (0, 1)))
-
-
-def index_ell_sublattices(L: Mat2i, ell: int) -> List[Mat2i]:
-    """Row HNF bases of the ell+1 index-ell sublattices of rowspan(L).
-
-    L is in row HNF ((a, b), (0, d)), any lattice rather than a canonical
-    vertex: the ideal tree walks honest local lattices with it.  Each
-    sublattice is ell*L plus one line of L/ell*L: r1 + t*r2 for t = 0..ell-1,
-    then r2, in that order.  An ell above orders._MAX_ELL raises
-    ResourceError.
-    """
-    _check_line_count(ell)
-    (a, b), (_, d) = L
-    out = [((a, (b + t * d) % (ell * d)), (0, ell * d)) for t in range(ell)]
-    out.append(((ell * a, ell * b % d), (0, d)))
-    return out
+    _check_prime(ell)
+    return TreeVertex(ell, ((1, 0), (0, 1)))
 
 
 def neighbors(v: TreeVertex) -> Tuple[TreeVertex, ...]:
@@ -192,14 +186,11 @@ def neighbors(v: TreeVertex) -> Tuple[TreeVertex, ...]:
     the root.  Only that lattice and the r2 one go through _reduce.
 
     Raises PreconditionError for a composite ell and then for a v that is
-    not canonical (hand-built, say with b >= d or with ell dividing every
-    entry); an ell above orders._MAX_ELL raises ResourceError.
+    not canonical (_check_vertex); an ell above orders._MAX_ELL raises
+    ResourceError.
     """
     ell = v.ell
-    _check_prime(ell)
-    if not _is_canonical(ell, v.mat):
-        raise PreconditionError(f"non-canonical vertex matrix {v.mat} "
-                                f"at {ell}")
+    _check_vertex(v)
     _check_line_count(ell)
     (a, b), (_, d) = v.mat
     # v's canonicity gives every child ((a, c), (0, ell*d)), c = b + t*d,
@@ -230,7 +221,8 @@ def neighbors(v: TreeVertex) -> Tuple[TreeVertex, ...]:
 
 def distance(u: TreeVertex, v: TreeVertex) -> int:
     """Gap between the two elementary divisor valuations of the relative
-    position matrix; 0 exactly for equal classes."""
+    position matrix; 0 exactly for equal classes.  Unchecked, as it runs in
+    inner loops: canonical vertices are the caller's invariant."""
     if u.ell != v.ell:
         raise PreconditionError("vertices live at different primes")
     _check_prime(u.ell)
@@ -250,9 +242,11 @@ def geodesic(u: TreeVertex, v: TreeVertex) -> Tuple[TreeVertex, ...]:
 
     Scale v by a power of ell to M inside u but not inside ell*u; then
     u/M is cyclic of order ell^d at ell and the path is [M + ell^i u] for
-    i = 0..d (Serre, Trees, II.1).  Paths longer than _MAX_PATH raise
-    ResourceError.
+    i = 0..d (Serre, Trees, II.1).  A non-canonical endpoint raises
+    PreconditionError, and paths longer than _MAX_PATH raise ResourceError.
     """
+    _check_vertex(u)
+    _check_vertex(v)
     ell = u.ell
     d = distance(u, v)
     if d > _MAX_PATH:
@@ -303,7 +297,8 @@ def sphere(center: TreeVertex, radius: int) -> List[TreeVertex]:
 # ---------------------------------------------------------------- ideals
 
 def localize_ideal(I: LeftIdeal, ell: int, seed: int = 0) -> TreeVertex:
-    """The vertex cut out by a left ideal at a split prime."""
+    """The vertex cut out by a left ideal at a split prime; ideal_of_vertex
+    goes back."""
     _check_prime(ell)
     k = valuation(I.norm(), ell) + 1
     return _localize(I, splitting_data(I.order, ell, k, seed))
@@ -334,3 +329,22 @@ def _localize(I: LeftIdeal, th: SplittingData) -> TreeVertex:
     rows.append((0, m))
     # the rows contain ell^k*Z^2, so the HNF has an ell-power diagonal
     return _reduce(ell, _hnf2_rows(rows))
+
+
+def ideal_of_vertex(th: SplittingData, v: TreeVertex) -> LeftIdeal:
+    """The primitive left ideal {x in O : the rows of theta(x) lie in v's
+    lattice} of th's order O, of norm ell^n for v at distance n from the
+    root; _localize under th maps it back to v.
+
+    A v that fails _check_vertex, or lies deeper than the precision th.k,
+    raises PreconditionError.
+    """
+    _check_vertex(v)
+    (a, _), (_, d) = v.mat
+    R = _pullback(th, v.mat)
+    # [O : I] = nrd(I)^2 and nrd(I) = det(v.mat)
+    if la.hnf_index(R) != (a * d) ** 2:
+        raise InvariantError("ideal of the vertex has the wrong norm")
+    if la.content(R) != 1:
+        raise InvariantError("ideal of the vertex is imprimitive")
+    return LeftIdeal.from_order_coords(th.order, R)

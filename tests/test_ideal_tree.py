@@ -138,6 +138,11 @@ def test_pullback_needs_the_index_to_divide_the_modulus():
         od._pullback(th, ((1, 0), (0, 27)))
     with pytest.raises(PreconditionError):
         od._pullback(th, ((1, 0), (0, 2)))
+    # a vertex at distance 2 is within the precision, one at 3 is not
+    I = bt.ideal_of_vertex(th, bt.TreeVertex(3, ((1, 0), (0, 9))))
+    assert I.norm() == 9
+    with pytest.raises(PreconditionError, match="does not divide"):
+        bt.ideal_of_vertex(th, bt.TreeVertex(3, ((1, 0), (0, 27))))
 
 
 @pytest.mark.parametrize("ell", [0, 1, 4, -5])
@@ -181,22 +186,6 @@ def test_node_count_guard_admits_every_depth_one_tree_and_l_101_depth_2():
     top = next(p for p in range(od._MAX_ELL, 1, -1) if is_prime(p))
     assert 1 + (top + 1) <= od._MAX_TREE_NODES
     assert 1 + 102 * 102 <= od._MAX_TREE_NODES
-
-
-def test_isogeny_degree_bookkeeping():
-    O = max_order(-1, 3)
-    I = od.left_ideals_of_norm(O, 5)[0]
-    d = it.isogeny_degree(I)
-    assert (d.norm, d.content, d.primitive_norm, d.degree,
-            d.is_multiplication) == (5, 1, 5, 25, False)
-    for k in (2, 3):
-        dk = it.isogeny_degree(od.principal_ideal(O, O.algebra.element(k)))
-        assert dk.is_multiplication
-        assert (dk.norm, dk.content, dk.degree) == (k * k, k, k ** 4)
-    scaled = od.LeftIdeal(O, la.mat_scale(2, I.lattice))
-    ds = it.isogeny_degree(scaled)
-    assert (ds.norm, ds.content, ds.primitive_norm) == (20, 2, 5)
-    assert not ds.is_multiplication
 
 
 # sha256 of tree_to_dot plus each node's (depth, parent, children, local,

@@ -12,6 +12,7 @@ from itertools import count
 
 import pytest
 
+from qmtree import center
 from qmtree import linalg as la
 from qmtree import orders as od
 from qmtree import tree as bt
@@ -136,8 +137,18 @@ NON_CANONICAL = {
 
 @pytest.mark.parametrize("mat", NON_CANONICAL.values(), ids=NON_CANONICAL)
 def test_neighbors_reject_hand_built_non_canonical_vertices(mat):
+    v, r = bt.TreeVertex(2, mat), bt.root(2)
     with pytest.raises(PreconditionError, match="non-canonical vertex"):
-        bt.neighbors(bt.TreeVertex(2, mat))
+        bt.neighbors(v)
+    # so do geodesic at either end and the set operations, whichever
+    # member comes first
+    for call in (lambda: bt.geodesic(r, v), lambda: bt.geodesic(v, r),
+                 lambda: center.tree_center([r, v]),
+                 lambda: center.tree_center([v, r]),
+                 lambda: center.spanned_subtree([r, v]),
+                 lambda: center.spanned_subtree([v, r])):
+        with pytest.raises(PreconditionError, match="non-canonical vertex"):
+            call()
     # the prime is checked first
     with pytest.raises(PreconditionError, match="6 is not a prime"):
         bt.neighbors(bt.TreeVertex(6, mat))
@@ -186,25 +197,6 @@ def test_neighbor_counts_and_symmetry():
         for v in nb:
             assert bt.distance(r, v) == 1
             assert r in bt.neighbors(v)
-
-
-def test_index_ell_sublattices_are_hnf_bases():
-    # two levels of honest sublattices below the standard lattice,
-    # imprimitive ones included
-    for ell in (2, 3, 5):
-        level = [((1, 0), (0, 1))]
-        for _ in range(2):
-            nxt = []
-            for L in level:
-                r1, r2 = L
-                ell_L = (tuple(ell * x for x in r1), tuple(ell * x for x in r2))
-                lines = [tuple(x + t * y for x, y in zip(r1, r2))
-                         for t in range(ell)] + [r2]
-                want = [la.hnf_basis((w,) + ell_L, expect_rank=2)
-                        for w in lines]
-                assert bt.index_ell_sublattices(L, ell) == want
-                nxt.extend(want)
-            level = nxt
 
 
 def test_sphere_sizes():
@@ -278,8 +270,7 @@ def test_long_geodesic_at_a_large_prime():
     u = bt.canonicalize(ell, ((1, rng.randrange(ell)), (0, ell)))
     v = u
     while bt.distance(u, v) < 8:
-        L = rng.choice(bt.index_ell_sublattices(v.mat, ell))
-        v = bt.canonicalize(ell, L)
+        v = rng.choice(bt.neighbors(v))
     g = bt.geodesic(u, v)
     assert len(g) == 9 and g[0] == u and g[-1] == v
     for i, (a, b) in enumerate(zip(g, g[1:])):
@@ -377,8 +368,6 @@ def test_line_enumeration_guard(monkeypatch):
     past = next(p for p in count(od._MAX_ELL + 1) if is_prime(p))
     with pytest.raises(ResourceError):
         bt.neighbors(bt.root(past))
-    with pytest.raises(ResourceError):
-        bt.index_ell_sublattices(((1, 0), (0, 1)), past)
     # the bound is inclusive
     monkeypatch.setattr(od, "_MAX_ELL", 7)
     assert len(bt.neighbors(bt.root(7))) == 8

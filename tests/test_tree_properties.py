@@ -1,8 +1,8 @@
 """Property tests for the lattice-class tree: closed-form neighbors against
-canonicalizing every index-ell sublattice, on random vertices and on each
-branch of the closed form, canonical forms under changes of basis and
-scaling, the path laws of geodesic and distance, localization as the
-inverse of the pullback from vertices to ideals, and the laws of the center
+canonicalizing every index-ell sublattice (enumerated here, as the oracle),
+on random vertices and on each branch of the closed form, canonical forms
+under changes of basis and scaling, the path laws of geodesic and distance,
+localization as the inverse of ideal_of_vertex, and the laws of the center
 of a vertex set."""
 
 import functools
@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qmtree import center
@@ -62,12 +62,41 @@ def unimodular(draw):
     return U
 
 
+def index_ell_sublattices(L, ell):
+    """Row HNF bases of the ell+1 index-ell sublattices of rowspan(L), L in
+    row HNF ((a, b), (0, d)): ell*L plus one line of L/ell*L, r1 + t*r2 for
+    t = 0..ell-1, then r2, in that order."""
+    (a, b), (_, d) = L
+    out = [((a, (b + t * d) % (ell * d)), (0, ell * d)) for t in range(ell)]
+    out.append(((ell * a, ell * b % d), (0, d)))
+    return out
+
+
+def test_index_ell_sublattices_are_hnf_bases():
+    # two levels of honest sublattices below the standard lattice,
+    # imprimitive ones included
+    for ell in (2, 3, 5):
+        level = [((1, 0), (0, 1))]
+        for _ in range(2):
+            nxt = []
+            for L in level:
+                r1, r2 = L
+                ell_L = (tuple(ell * x for x in r1), tuple(ell * x for x in r2))
+                lines = [tuple(x + t * y for x, y in zip(r1, r2))
+                         for t in range(ell)] + [r2]
+                want = [la.hnf_basis((w,) + ell_L, expect_rank=2)
+                        for w in lines]
+                assert index_ell_sublattices(L, ell) == want
+                nxt.extend(want)
+            level = nxt
+
+
 def canonicalized_sublattices(v):
     """The neighbor oracle: every index-ell sublattice canonicalized, in key
     order."""
     ell = v.ell
     return tuple(sorted({bt.canonicalize(ell, L)
-                         for L in bt.index_ell_sublattices(v.mat, ell)},
+                         for L in index_ell_sublattices(v.mat, ell)},
                         key=bt.TreeVertex.key))
 
 
@@ -144,15 +173,19 @@ def split_order(a, b, level):
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from([(1, 1, 1), (-1, -1, 1), (-1, 3, 1), (-1, -1, 11)]),
        st.sampled_from([2, 3, 5, 7, 13]).flatmap(vertex_at))
+@example((-1, 3, 1), bt.root(5))
 def test_localize_inverts_the_pullback(key, v):
-    """A vertex up to distance 6 from the root comes back from its ideal."""
+    """A vertex up to distance 6 from the root comes back from its ideal;
+    the root's ideal is the whole order."""
     O = split_order(*key)
     ell = v.ell
     assume(od.reduced_discriminant(O) % ell)
     (a, _), (_, d) = v.mat
     th = od.splitting_data(O, ell, od.valuation(a * d, ell) + 1)
-    I = od.LeftIdeal.from_order_coords(O, od._pullback(th, v.mat))
+    I = bt.ideal_of_vertex(th, v)
     assert bt._localize(I, th) == v
+    if v == bt.root(ell):
+        assert I.order_coords == la.identity(4)
 
 
 @st.composite
