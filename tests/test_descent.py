@@ -7,6 +7,7 @@ the geodesic, and a group element picks up a prime in its twist exactly
 when it reverses that center edge or flips that ramified sign.
 """
 
+import hashlib
 import json
 import random
 from itertools import combinations
@@ -415,6 +416,25 @@ def test_validation_collects_multiple_violations():
     assert "squarefree" in msg and "duplicate" in msg and "boolean" in msg
 
 
+def test_validation_keeps_the_message_order_across_generators():
+    # s swaps root and n1 but fixes n2; t names a vertex that does not parse
+    verts = ["2:[[1,0],[0,1]]", "2:[[1,0],[0,2]]", "2:[[1,1],[0,2]]"]
+    obj = {
+        "D": 1,
+        "generators": ["s", "t"],
+        "local": {"2": {"vertices": verts, "action": {
+            "s": [verts[1], verts[0], verts[2]],
+            "t": ["bad", verts[0], verts[2]],
+        }}},
+    }
+    with pytest.raises(ValidationError) as err:
+        dd.scenario_from_json(obj)
+    assert str(err.value) == (
+        "invalid scenario: local.2.action.s: not distance-preserving on the "
+        "pair (2:[[1,0],[0,1]], 2:[[1,1],[0,2]]); "
+        "local.2.action.t: bad literal 'bad'")
+
+
 # ------------------------------------------------------------- sweep
 
 
@@ -633,6 +653,35 @@ def _oracle_scenarios():
                       for ell in rng.sample([2, 3, 5, 7], 1 + rng.randrange(3))},
         })
     return [dd.scenario_from_json(obj) for obj in out]
+
+
+# sha256 of each scenario's report, then of every group element's image of
+# the base point and its twist, in group_elements order: the 17 fixtures and
+# two copies of each transported by _transported (seed "digest").  Frozen
+# while each element acted through its isometric extension built from
+# geodesics.
+DESCENT_DIGEST = ("a5b6d28cfe8ce68beb8324cb6322eaef"
+                  "3cdb2fa0036cafe7f91faff8018792a7")
+
+
+def test_descent_matches_the_frozen_digest():
+    rng = random.Random("digest")
+    objs = []
+    for obj in _fixture_objects().values():
+        objs.append(obj)
+        objs.extend(_transported(obj, rng) for _ in range(2))
+    assert len(objs) == 51
+    h = hashlib.sha256()
+    for obj in objs:
+        s = dd.scenario_from_json(obj)
+        h.update(dd.report_to_json(dd.run_descent(s)).encode())
+        _, centers = dd.compute_level(s)
+        Q = dd.choose_point(s, centers)
+        for w in dd.group_elements(s):
+            point = dd.point_to_json(dd.galois_apply(s, w, Q))
+            h.update(json.dumps(point, sort_keys=True).encode())
+            h.update(repr(sorted(dd.galois_twist(s, w, Q))).encode())
+    assert h.hexdigest() == DESCENT_DIGEST
 
 
 def test_extension_matches_all_pairs_oracle():
