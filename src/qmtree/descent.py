@@ -9,9 +9,11 @@ centers on an edge), builds a base point with a frozen orientation
 convention, writes every group element as an orientation twist W_n,
 and checks that the twist assignment is a cocycle, that the forgetful
 map phi-tilde is injective over all orientation choices, and that no
-level prime carries a globally fixed vertex.  The first two hold by
-construction: isometric extensions compose as the group does and
-commute with edge reversal, and an OrientedEdge joins adjacent vertices.
+level prime carries a globally fixed vertex.  Each action is read off
+the member distances, which fix every vertex of the spanned subtree
+(Serre, Trees, II.1).  The first two checks hold by construction:
+isometries compose as the group does and commute with edge reversal,
+and an OrientedEdge joins adjacent vertices.
 
 Scenario files are JSON:
 
@@ -39,7 +41,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from itertools import combinations
 from typing import Dict, FrozenSet, Tuple
 
@@ -52,15 +54,12 @@ from .errors import (
 )
 from .orders import is_squarefree
 from .quaternion import factorize, is_prime
-from .tree import TreeVertex, distance, format_vertex, geodesic, parse_vertex
+from .tree import TreeVertex, distance, format_vertex, parse_vertex
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 # closure guard: group_elements refuses a group with more elements
 _GROUP_LIMIT = 512
-# entries kept by the extension cache: one run_descent uses a few per
-# prime, and a long-lived process must not keep every vertex set it saw
-_CACHE_SIZE = 256
 
 Word = Tuple[str, ...]
 # (per-split-prime index permutations, per-ramified-prime signs)
@@ -71,12 +70,43 @@ Element = Tuple[Tuple[Tuple[int, ...], ...], Tuple[int, ...]]
 class LocalComponent:
     """Vertex set at one split prime plus the generator action.
 
-    ``actions[g][i]`` is the index of the image of ``vertices[i]``.
+    ``actions[g][i]`` is the index of the image of ``vertices[i]``.  In a
+    tree a vertex of the spanned subtree is fixed by its distances to the
+    members (Serre, Trees, II.1), so the isometry permuting the members by
+    p sends v to the one u with ``_sends(p, hull[v], hull[u])``.
     """
 
     ell: int
     vertices: Tuple[TreeVertex, ...]
     actions: Dict[str, Tuple[int, ...]]
+
+    @cached_property
+    def hull(self) -> Dict[TreeVertex, Tuple[int, ...]]:
+        """Each vertex of the spanned subtree, in key order, to its
+        distances to the members."""
+        return {v: tuple(distance(v, x) for x in self.vertices)
+                for v in spanned_subtree(self.vertices).vertices}
+
+
+def _sends(perm, row, image_row) -> bool:
+    """Whether the isometry permuting the members by perm sends the vertex
+    with distance profile row to the one with image_row."""
+    return all(image_row[j] == d for j, d in zip(perm, row))
+
+
+def _check_isometry(comp: LocalComponent, perm) -> None:
+    """InconsistencyError unless perm permutes the members and keeps every
+    distance between them; the distances are the members' hull rows."""
+    verts = comp.vertices
+    if sorted(perm) != list(range(len(verts))):
+        raise InconsistencyError("not a permutation of the vertices")
+    rows = [comp.hull[x] for x in verts]
+    for i, j in combinations(range(len(verts)), 2):
+        if rows[perm[i]][perm[j]] != rows[i][j]:
+            raise InconsistencyError(
+                f"not distance-preserving on the pair "
+                f"({format_vertex(verts[i])}, {format_vertex(verts[j])})"
+            )
 
 
 @dataclass(frozen=True)
@@ -144,6 +174,7 @@ def _parse_local(ell, entry, generators, tag, bad):
         return None
     index = {v: i for i, v in enumerate(verts)}
     actions = {}
+    comp = LocalComponent(ell, tuple(verts), actions)
     ok = True
     for g in generators:
         images = action_raw[g]
@@ -164,30 +195,15 @@ def _parse_local(ell, entry, generators, tag, bad):
                 break
             perm.append(index[w])
         else:
-            if len(set(perm)) != len(perm):
-                bad.append(f"{gtag}: not a permutation of the vertices")
-                ok = False
+            try:
+                _check_isometry(comp, perm)
+            except InconsistencyError as exc:
+                bad.append(f"{gtag}: {exc}")
+            else:
+                actions[g] = tuple(perm)
                 continue
-            iso = True
-            for i, j in combinations(range(len(verts)), 2):
-                if distance(verts[i], verts[j]) != distance(
-                    verts[perm[i]], verts[perm[j]]
-                ):
-                    bad.append(
-                        f"{gtag}: not distance-preserving on the pair "
-                        f"({format_vertex(verts[i])}, {format_vertex(verts[j])})"
-                    )
-                    iso = False
-                    break
-            if not iso:
-                ok = False
-                continue
-            actions[g] = tuple(perm)
-            continue
         ok = False
-    if not ok:
-        return None
-    return LocalComponent(ell, tuple(verts), actions)
+    return comp if ok else None
 
 
 def scenario_from_json(obj) -> GaloisScenario:
@@ -392,38 +408,6 @@ def word_label(s: GaloisScenario, word: Word) -> str:
     return "*".join(word)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _extension(ell, verts, perm):
-    """Unique isometric extension of the permutation to the spanned subtree.
-
-    The subtree is the union of the geodesics from verts[0] to the other
-    members (center.spanned_subtree); an isometry carries each of them
-    step by step onto the geodesic between the images.  Those steps are
-    the subtree's edges, so a consistent image that is a bijection of
-    the subtree is an isometry (Serre, Trees, II.1).
-    """
-    image = {}
-    for i in range(len(verts)):
-        path = geodesic(verts[0], verts[i])
-        target = geodesic(verts[perm[0]], verts[perm[i]])
-        if len(path) != len(target):
-            raise InconsistencyError(
-                f"action at {ell} changes the distance from "
-                f"{format_vertex(verts[0])} to {format_vertex(verts[i])}"
-            )
-        for v, w in zip(path, target):
-            if image.setdefault(v, w) != w:
-                raise InconsistencyError(
-                    f"action at {ell} has no consistent extension "
-                    f"to {format_vertex(v)}"
-                )
-    if set(image.values()) != image.keys():
-        raise InconsistencyError(
-            f"extension at {ell} is not a bijection of the subtree"
-        )
-    return image
-
-
 # ---------------------------------------------------------------- points
 
 
@@ -558,31 +542,36 @@ def _apply_element(s: GaloisScenario, elem: Element, Q: AdelicPoint):
     perms = dict(zip(s.split_primes(), elem[0]))
     signs = dict(zip(s.ramified_primes(), elem[1]))
 
-    def carry(ell, what, *vs):
-        # images of the point's vertices at ell; what is "an edge" or
-        # "a vertex", for the messages
+    def rows(ell, what, *vs):
+        # the permutation at ell and the hull rows of the point's vertices
+        # there; what is "an edge" or "a vertex", for the messages
         if ell not in perms:
             raise PreconditionError(
                 f"point has {what} at {ell} but the scenario does not"
             )
-        ext = _extension(ell, s.local[ell].vertices, perms[ell])
-        if not all(v in ext for v in vs):
+        comp = s.local[ell]
+        _check_isometry(comp, perms[ell])
+        if not all(v in comp.hull for v in vs):
             raise PreconditionError(
                 f"point has {what} at {ell} outside the spanned subtree"
             )
-        return [ext[v] for v in vs]
+        return perms[ell], [comp.hull[v] for v in vs]
 
     edges = {}
     for ell, e in Q.edges:
-        img = OrientedEdge(*carry(ell, "an edge", e.origin, e.terminus))
-        if img.as_set() != e.as_set():
+        p, (o, t) = rows(ell, "an edge", e.origin, e.terminus)
+        if _sends(p, o, o) and _sends(p, t, t):
+            edges[ell] = e
+        elif _sends(p, o, t) and _sends(p, t, o):
+            edges[ell] = e.reverse()
+        else:
             raise InconsistencyError(
                 f"action does not stabilize the center edge at {ell}"
             )
-        edges[ell] = img
     vertices = {}
     for ell, v in Q.vertices:
-        if carry(ell, "a vertex", v) != [v]:
+        p, (row,) = rows(ell, "a vertex", v)
+        if not _sends(p, row, row):
             raise InconsistencyError(
                 f"action moves the center vertex at {ell}"
             )
@@ -648,13 +637,14 @@ def verify_minimality(s: GaloisScenario, N=None) -> dict:
         if N % ell != 0:
             continue
         comp = s.local[ell]
-        fixed = set(spanned_subtree(comp.vertices).vertices)
-        for g in s.generators:
-            ext = _extension(ell, comp.vertices, comp.actions[g])
-            fixed = {v for v in fixed if ext[v] == v}
+        perms = [comp.actions[g] for g in s.generators]
+        for p in perms:
+            _check_isometry(comp, p)
+        fixed = [v for v, row in comp.hull.items()
+                 if all(_sends(p, row, row) for p in perms)]
         per[str(ell)] = {
             "ok": not fixed,
-            "fixedVertices": [format_vertex(v) for v in sorted(fixed)],
+            "fixedVertices": [format_vertex(v) for v in fixed],
         }
     return {"ok": all(p["ok"] for p in per.values()), "perPrime": per}
 

@@ -247,6 +247,11 @@ def geodesic(u: TreeVertex, v: TreeVertex) -> Tuple[TreeVertex, ...]:
     """
     _check_vertex(u)
     _check_vertex(v)
+    return _geodesic(u, v)
+
+
+def _geodesic(u: TreeVertex, v: TreeVertex) -> Tuple[TreeVertex, ...]:
+    """geodesic for endpoints the caller has put through _check_vertex."""
     ell = u.ell
     d = distance(u, v)
     if d > _MAX_PATH:

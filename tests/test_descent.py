@@ -526,27 +526,23 @@ def _moved_swap5(g):
 
 
 def test_descent_caches_stay_bounded():
+    # descent keeps no module-level cache: each component carries its own
+    # hull, so a long-lived process holds only the scenarios it keeps
+    assert not [name for name, f in vars(dd).items()
+                if hasattr(f, "cache_info")]
     rng = random.Random(11)
-    bound = dd._CACHE_SIZE
-    keys = set()
-    for _ in range(bound + 100):
+    for _ in range(356):
         obj = _moved_swap5(((5 ** 8, 0), (rng.randrange(5 ** 8), 1)))
-        keys.add(json.dumps(obj, sort_keys=True))
         report = dd.run_descent(dd.scenario_from_json(obj))
         assert report["N"] == 5 and report["cocycle"] == {"s": [5]}
-    assert len(keys) > bound
-    for cache in (dd._extension,):
-        info = cache.cache_info()
-        assert info.maxsize == bound
-        assert info.currsize <= bound
 
 
 # ------------------------------------------------------------- oracles
 #
-# descent.py builds the extension along geodesics from one member, checks
+# descent.py reads each isometry off the member-distance profiles, checks
 # the cocycle per generator and reads phi-tilde injectivity off each edge.
-# The constructions below are the all-pairs, all-products and all-choices
-# versions they replaced, kept as independent oracles.
+# The constructions below are all-pairs, all-products and all-choices
+# versions of these, kept as independent oracles.
 
 
 def _extension_oracle(ell, verts, perm):
@@ -685,16 +681,42 @@ def test_descent_matches_the_frozen_digest():
 
 
 def test_extension_matches_all_pairs_oracle():
-    triples = set()
+    # the oracle's image of each subtree vertex is the one hull vertex whose
+    # profile the permutation sends it to
+    triples = {}
     scenarios = _oracle_scenarios() + [scenario("s5_swaps480.json")]
     for s in scenarios:
         for perms, _ in dd.group_elements(s).values():
             for ell, perm in zip(s.split_primes(), perms):
-                triples.add((ell, s.local[ell].vertices, perm))
+                comp = s.local[ell]
+                triples.setdefault((ell, comp.vertices, perm), comp)
     assert len(triples) > 300
-    for ell, verts, perm in triples:
-        assert dd._extension(ell, verts, perm) == _extension_oracle(
-            ell, verts, perm)
+    for (ell, verts, perm), comp in triples.items():
+        dd._check_isometry(comp, perm)
+        image = _extension_oracle(ell, verts, perm)
+        assert list(comp.hull) == list(image)
+        for v, row in comp.hull.items():
+            assert [u for u, r in comp.hull.items()
+                    if dd._sends(perm, row, r)] == [image[v]]
+
+
+def test_minimality_witnesses_match_the_oracle():
+    witnessed = 0
+    for s in _oracle_scenarios() + [scenario("s5_swaps480.json")]:
+        N, _ = dd.compute_level(s)
+        per = dd.verify_minimality(s, N)["perPrime"]
+        level_primes = [ell for ell in s.split_primes() if N % ell == 0]
+        assert sorted(per) == sorted(str(ell) for ell in level_primes)
+        for ell in level_primes:
+            comp = s.local[ell]
+            fixed = set(spanned_subtree(comp.vertices).vertices)
+            for g in s.generators:
+                image = _extension_oracle(ell, comp.vertices, comp.actions[g])
+                fixed = {v for v in fixed if image[v] == v}
+            assert per[str(ell)]["fixedVertices"] == [
+                bt.format_vertex(v) for v in sorted(fixed)]
+            witnessed += bool(fixed)
+    assert witnessed >= 11  # fixed_pair2.json and its transported copies
 
 
 def test_homomorphism_check_matches_pairwise_oracle():
@@ -765,8 +787,8 @@ def test_phi_tilde_check_sees_a_collapsed_edge():
 
 def _bad_components():
     """Permutations of hand-built vertex sets at 2 that no tree isometry
-    extends: one changes a distance, one sends a vertex two ways, one is
-    not a bijection."""
+    extends: one changes a distance from the first member, one only a
+    distance between two others, one is not a bijection."""
     r = bt.root(2)
     m1, m2 = bt.neighbors(r)[:2]
     b, b2 = [w for w in bt.neighbors(m1) if w != r][:2]
@@ -780,12 +802,19 @@ def _bad_components():
     ]
 
 
-@pytest.mark.parametrize("case,needle", enumerate([
-    "changes the distance", "no consistent extension", "not a bijection"]))
-def test_non_isometric_component_raises(case, needle):
+@pytest.mark.parametrize("case,pair", [(0, (0, 2)), (1, (1, 2)), (2, None)],
+                         ids=["from-first", "between-others", "not-bijection"])
+def test_non_isometric_component_raises(case, pair):
+    # the message names the first pair of members whose distance changes
     verts, perm = _bad_components()[case]
-    with pytest.raises(InconsistencyError, match=needle):
-        dd._extension(2, verts, perm)
+    if pair is None:
+        needle = "not a permutation of the vertices"
+    else:
+        a, b = (bt.format_vertex(verts[i]) for i in pair)
+        needle = f"not distance-preserving on the pair ({a}, {b})"
+    with pytest.raises(InconsistencyError) as err:
+        dd._check_isometry(dd.LocalComponent(2, verts, {}), perm)
+    assert str(err.value) == needle
     with pytest.raises(InconsistencyError):
         _extension_oracle(2, verts, perm)
 
