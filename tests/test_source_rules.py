@@ -57,23 +57,20 @@ def test_public_names_have_a_caller_in_the_library():
 def test_functools_caches_are_bounded():
     """Every lru_cache or cache decorator in src/qmtree has an integer
     maxsize, so a long-lived process cannot grow a cache without end."""
-    sizes = {}
+    caches, unbounded = 0, []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for dec in node.decorator_list:
+            for dec in getattr(node, "decorator_list", ()):
                 call = dec if isinstance(dec, ast.Call) else None
                 fn = call.func if call else dec
-                name = getattr(fn, "id", getattr(fn, "attr", None))
-                if name not in ("lru_cache", "cache"):
+                if getattr(fn, "id", getattr(fn, "attr", None)) not in (
+                        "lru_cache", "cache"):
                     continue
-                args = list(call.args[:1]) if call else []
-                args += [k.value for k in (call.keywords if call else [])
-                         if k.arg == "maxsize"]
-                size = args[0].value if args and isinstance(
-                    args[0], ast.Constant) else None
-                bounded = isinstance(size, int) and not isinstance(size, bool)
-                sizes[f"{path.name}:{node.name}"] = size if bounded else None
-    assert sizes, "no functools cache found"
-    assert {k: v for k, v in sizes.items() if v is None} == {}
+                caches += 1
+                sizes = call.args[:1] + [k.value for k in call.keywords
+                                         if k.arg == "maxsize"] if call else []
+                if not (sizes and isinstance(sizes[0], ast.Constant)
+                        and type(sizes[0].value) is int):
+                    unbounded.append(f"{path.name}:{node.name}")
+    assert caches >= 2
+    assert unbounded == []
