@@ -828,6 +828,99 @@ def test_galois_apply_rejects_non_isometric_component():
         dd.galois_apply(s, "s", Q)
 
 
+def _point(edges=(), vertices=(), bits=()):
+    """A hand-built point from vertex literals: edges are (ell, origin,
+    terminus) triples, vertices (ell, vertex) pairs, bits (ell, sign)."""
+    return dd.AdelicPoint.build(
+        {ell: dd.OrientedEdge(bt.parse_vertex(o), bt.parse_vertex(t))
+         for ell, o, t in edges},
+        {ell: bt.parse_vertex(v) for ell, v in vertices},
+        dict(bits))
+
+
+def _non_isometric_scenario():
+    verts, perm = _bad_components()[0]
+    comp = dd.LocalComponent(2, verts, {"s": perm})
+    return dd.GaloisScenario(1, ("s",), False, {2: comp}, {})
+
+
+ROOT5, N5 = "5:[[1,0],[0,1]]", "5:[[1,0],[0,5]]"
+FOREIGN_EDGE = (7, "7:[[1,0],[0,1]]", "7:[[1,0],[0,7]]")
+FOREIGN_VERTEX = (11, "11:[[1,0],[0,1]]")
+
+# name -> (scenario, point, word, error class, message); the points are
+# hand-built, so each exercises one way a point and a scenario disagree
+APPLY_ERRORS = {
+    "edge-at-foreign-prime": (
+        "swap5.json", _point(edges=[FOREIGN_EDGE]), "s", PreconditionError,
+        "point has an edge at 7 but the scenario does not"),
+    "vertex-at-foreign-prime": (
+        "swap5.json", _point(vertices=[FOREIGN_VERTEX]), "s",
+        PreconditionError,
+        "point has a vertex at 11 but the scenario does not"),
+    "edge-outside-subtree": (
+        "swap5.json", _point(edges=[(5, N5, "5:[[1,0],[0,25]]")]), "s",
+        PreconditionError, "point has an edge at 5 outside the spanned subtree"),
+    "vertex-outside-subtree": (
+        "swap5.json", _point(vertices=[(5, "5:[[1,1],[0,5]]")]), "s",
+        PreconditionError,
+        "point has a vertex at 5 outside the spanned subtree"),
+    "moved-center-edge": (
+        "star5.json", _point(edges=[(5, ROOT5, N5)]), "s", InconsistencyError,
+        "action does not stabilize the center edge at 5"),
+    "moved-center-vertex": (
+        "swap5.json", _point(vertices=[(5, ROOT5)]), "s", InconsistencyError,
+        "action moves the center vertex at 5"),
+    "sign-outside-D": (
+        "swap5_bit2.json", _point(edges=[(5, ROOT5, N5)], bits=[(7, "+")]),
+        "s", PreconditionError,
+        "point has a sign at 7 but the scenario does not"),
+    # the messages come edges first, then vertices, then signs
+    "edge-before-vertex-and-sign": (
+        "swap5.json",
+        _point(edges=[FOREIGN_EDGE], vertices=[FOREIGN_VERTEX],
+               bits=[(2, "+")]),
+        "s", PreconditionError,
+        "point has an edge at 7 but the scenario does not"),
+    "vertex-before-sign": (
+        "swap5.json", _point(vertices=[FOREIGN_VERTEX], bits=[(2, "+")]),
+        "s", PreconditionError,
+        "point has a vertex at 11 but the scenario does not"),
+    "non-isometric-generator": (
+        None, _point(vertices=[(2, "2:[[1,0],[0,1]]")]), "s",
+        InconsistencyError,
+        "not distance-preserving on the pair (2:[[1,0],[0,1]], "
+        "2:[[1,1],[0,2]])"),
+}
+
+
+@pytest.mark.parametrize("apply", ["galois_apply", "galois_twist"])
+@pytest.mark.parametrize("case", APPLY_ERRORS)
+def test_apply_errors_keep_their_class_and_message(case, apply):
+    name, Q, word, cls, message = APPLY_ERRORS[case]
+    s = scenario(name) if name else _non_isometric_scenario()
+    with pytest.raises(cls) as err:
+        getattr(dd, apply)(s, word, Q)
+    assert type(err.value) is cls
+    assert str(err.value) == message
+
+
+BASE_LEVELS = {
+    "bitflip2.json": 1, "bitflip23.json": 1, "composite_5_7_2.json": 5,
+    "cycle3_at2.json": 1, "deep_pair2.json": 2, "doubleswap_35.json": 35,
+    "fixed_pair2.json": 2, "path2_swap2.json": 1, "path2_swap3.json": 1,
+    "path3_swap2.json": 2, "s5_swaps480.json": 33, "star5.json": 1,
+    "swap5.json": 5, "swap5_bit2.json": 5, "trivial.json": 1,
+    "twogen_15.json": 15, "twogen_35.json": 35,
+}
+
+
+def test_base_point_level_of_every_fixture():
+    assert sorted(BASE_LEVELS) == sorted(p.name for p in DATA.glob("*.json"))
+    for name, level in BASE_LEVELS.items():
+        assert _base_point(name)[1].level == level
+
+
 def test_s5_swaps480_scenario():
     # S5 on five neighbours of the root at 7, times edge swaps at 3 (c)
     # and 11 (d): the twist holds 3 or 11 when c or d occurs an odd
