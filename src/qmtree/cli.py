@@ -195,7 +195,7 @@ def cmd_ideals_oracle(args) -> int:
 
 def _vertex(args, name):
     v = bt.parse_vertex(getattr(args, name))
-    if getattr(args, "l", None) and args.l != v.ell:
+    if getattr(args, "l", None) is not None and args.l != v.ell:
         raise ValidationError(
             f"--l {args.l} does not match the vertex prime {v.ell}"
         )
@@ -224,7 +224,10 @@ def cmd_bt_geodesic(args) -> int:
 
 
 def _read_vertex_list(path):
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not valid UTF-8 ({exc})")
     if text.lstrip().startswith("["):
         try:
             entries = json.loads(text)

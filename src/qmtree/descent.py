@@ -11,7 +11,11 @@ and checks that the twist assignment is a cocycle, that the forgetful
 map phi-tilde is injective over all orientation choices, and that no
 level prime carries a globally fixed vertex.  Each action is read off
 the member distances, which fix every vertex of the spanned subtree
-(Serre, Trees, II.1).  The first two checks hold by construction:
+(Serre, Trees, II.1).  An element acts on the base point as W_n for its
+twist n, read off the hull rows of the centers: n holds each level
+prime whose center edge the element reverses and each D prime whose
+sign it flips.  Isometry is checked once per generator, since
+isometries compose.  The first two checks hold by construction:
 isometries compose as the group does and commute with edge reversal,
 and an OrientedEdge joins adjacent vertices.
 
@@ -43,6 +47,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from math import prod
 from typing import Dict, FrozenSet, Tuple
 
 from .center import Center, spanned_subtree, tree_center
@@ -327,7 +332,11 @@ def _identity_element(s: GaloisScenario) -> Element:
 
 
 def _generator_element(s: GaloisScenario, g: str) -> Element:
+    """The element g names.  InconsistencyError unless g is an isometry at
+    every split prime; isometries compose, so every element is one."""
     perms = tuple(s.local[l].actions[g] for l in s.split_primes())
+    for l, p in zip(s.split_primes(), perms):
+        _check_isometry(s.local[l], p)
     return perms, tuple(s.ramified[l][g] for l in s.ramified_primes())
 
 
@@ -423,43 +432,28 @@ class OrientedEdge:
     def reverse(self) -> "OrientedEdge":
         return OrientedEdge(self.terminus, self.origin)
 
-    def as_set(self) -> FrozenSet[TreeVertex]:
-        return frozenset((self.origin, self.terminus))
-
 
 @dataclass(frozen=True)
 class AdelicPoint:
     """Oriented center data: one oriented edge per level prime, one
-    vertex per other scenario prime, one sign per prime dividing D,
-    and an opaque marker."""
+    vertex per other scenario prime and one sign per prime dividing D."""
 
-    level: int
     edges: Tuple[Tuple[int, OrientedEdge], ...]
     vertices: Tuple[Tuple[int, TreeVertex], ...]
     bits: Tuple[Tuple[int, str], ...]
-    tau: str = "tau0"
-
-    def __post_init__(self):
-        prod = 1
-        for ell, _ in self.edges:
-            prod *= ell
-        if prod != self.level:
-            raise PreconditionError(
-                "level must be the product of the edge primes"
-            )
 
     @staticmethod
-    def build(edges, vertices, bits, tau="tau0") -> "AdelicPoint":
-        level = 1
-        for ell in edges:
-            level *= ell
+    def build(edges, vertices, bits) -> "AdelicPoint":
         return AdelicPoint(
-            level,
             tuple(sorted(edges.items())),
             tuple(sorted(vertices.items())),
             tuple(sorted(bits.items())),
-            tau,
         )
+
+    @property
+    def level(self) -> int:
+        """The product of the edge primes."""
+        return prod(ell for ell, _ in self.edges)
 
     @property
     def edge_map(self):
@@ -535,10 +529,13 @@ def atkin_lehner(Q: AdelicPoint, n) -> AdelicPoint:
     bits = {
         ell: (_flip(b) if ell in primes else b) for ell, b in Q.bits
     }
-    return AdelicPoint.build(edges, dict(Q.vertices), bits, Q.tau)
+    return AdelicPoint.build(edges, dict(Q.vertices), bits)
 
 
-def _apply_element(s: GaloisScenario, elem: Element, Q: AdelicPoint):
+def _twist_of_element(s, elem, Q) -> FrozenSet[int]:
+    """The prime set n with elem(Q) = W_n(Q), read off the hull rows of
+    Q's centers: a level prime is in n if elem swaps the ends of its
+    center edge, and a D prime if elem flips its sign."""
     perms = dict(zip(s.split_primes(), elem[0]))
     signs = dict(zip(s.ramified_primes(), elem[1]))
 
@@ -549,55 +546,36 @@ def _apply_element(s: GaloisScenario, elem: Element, Q: AdelicPoint):
             raise PreconditionError(
                 f"point has {what} at {ell} but the scenario does not"
             )
-        comp = s.local[ell]
-        _check_isometry(comp, perms[ell])
-        if not all(v in comp.hull for v in vs):
+        hull = s.local[ell].hull
+        if not all(v in hull for v in vs):
             raise PreconditionError(
                 f"point has {what} at {ell} outside the spanned subtree"
             )
-        return perms[ell], [comp.hull[v] for v in vs]
+        return perms[ell], [hull[v] for v in vs]
 
-    edges = {}
+    n = set()
     for ell, e in Q.edges:
         p, (o, t) = rows(ell, "an edge", e.origin, e.terminus)
         if _sends(p, o, o) and _sends(p, t, t):
-            edges[ell] = e
-        elif _sends(p, o, t) and _sends(p, t, o):
-            edges[ell] = e.reverse()
-        else:
+            continue
+        if not (_sends(p, o, t) and _sends(p, t, o)):
             raise InconsistencyError(
                 f"action does not stabilize the center edge at {ell}"
             )
-    vertices = {}
+        n.add(ell)
     for ell, v in Q.vertices:
         p, (row,) = rows(ell, "a vertex", v)
         if not _sends(p, row, row):
             raise InconsistencyError(
                 f"action moves the center vertex at {ell}"
             )
-        vertices[ell] = v
-    bits = {}
-    for ell, b in Q.bits:
+    for ell, _ in Q.bits:
         if ell not in signs:
             raise PreconditionError(
                 f"point has a sign at {ell} but the scenario does not"
             )
-        bits[ell] = b if signs[ell] == 1 else _flip(b)
-    return AdelicPoint.build(edges, vertices, bits, Q.tau)
-
-
-def galois_apply(s: GaloisScenario, sigma, Q: AdelicPoint) -> AdelicPoint:
-    """Apply the group element named by the word sigma to every component."""
-    return _apply_element(s, element_of_word(s, sigma), Q)
-
-
-def _twist_of_element(s, elem, Q) -> FrozenSet[int]:
-    image = _apply_element(s, elem, Q)
-    # each center edge is stabilized, so a changed edge is reversed
-    n = {ell for (ell, e), (_, e2) in zip(Q.edges, image.edges) if e2 != e}
-    n |= {ell for (ell, b), (_, b2) in zip(Q.bits, image.bits) if b2 != b}
-    if image != atkin_lehner(Q, n):
-        raise InconsistencyError("no orientation twist matches the action")
+        if signs[ell] == -1:
+            n.add(ell)
     return frozenset(n)
 
 
@@ -606,12 +584,18 @@ def galois_twist(s: GaloisScenario, sigma, Q: AdelicPoint) -> FrozenSet[int]:
     return _twist_of_element(s, element_of_word(s, sigma), Q)
 
 
+def galois_apply(s: GaloisScenario, sigma, Q: AdelicPoint) -> AdelicPoint:
+    """The group element named by the word sigma acts on Q as W_n for its
+    twist n."""
+    return atkin_lehner(Q, galois_twist(s, sigma, Q))
+
+
 def phi(Q: AdelicPoint) -> AdelicPoint:
     """Forget orientations: each edge collapses to its origin vertex."""
     vertices = dict(Q.vertices)
     for ell, e in Q.edges:
         vertices[ell] = e.origin
-    return AdelicPoint.build({}, vertices, dict(Q.bits), Q.tau)
+    return AdelicPoint.build({}, vertices, dict(Q.bits))
 
 
 def phi_tilde(Q: AdelicPoint):
@@ -664,7 +648,7 @@ def point_to_json(Q: AdelicPoint) -> dict:
         },
         "vertices": {str(ell): format_vertex(v) for ell, v in Q.vertices},
         "ramified": {str(ell): b for ell, b in Q.bits},
-        "tau": Q.tau,
+        "tau": "tau0",
     }
 
 

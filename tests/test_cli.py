@@ -245,6 +245,12 @@ def test_bt_neighbors_prime_mismatch(capsys):
     assert code == 2
 
 
+def test_bt_neighbors_prime_zero_is_a_mismatch(capsys):
+    code = main(["bt", "neighbors", "--l", "0", "--v", "2:[[1,0],[0,1]]"])
+    assert code == 2
+    assert "--l 0 does not match the vertex prime 2" in capsys.readouterr().err
+
+
 def test_bt_neighbors_at_the_largest_prime_within_the_line_guard():
     ell = 16381
     assert is_prime(ell) and not any(
@@ -475,6 +481,21 @@ def test_bad_arguments_end_in_an_error_line(capsys, tmp_path, argv, want):
     err = capsys.readouterr().err
     assert code == want
     assert any(line.startswith("error:") for line in err.splitlines())
+
+
+@pytest.mark.parametrize("argv", [["bt", "center", "--vertices"],
+                                  ["descent", "run"],
+                                  ["order", "discriminant", "--order"],
+                                  ["order", "verify", "--order"]],
+                         ids=" ".join)
+def test_non_utf8_input_file_ends_in_an_error_line(tmp_path, argv):
+    path = tmp_path / "input"
+    path.write_bytes(b"\xff\xfe\x00bad")
+    proc = subprocess.run([sys.executable, "-m", "qmtree", *argv, str(path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
 
 
 # ------------------------------------------------ the int digit limit

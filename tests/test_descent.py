@@ -891,6 +891,13 @@ APPLY_ERRORS = {
         InconsistencyError,
         "not distance-preserving on the pair (2:[[1,0],[0,1]], "
         "2:[[1,1],[0,2]])"),
+    # each generator is checked for isometry, so s s is refused although
+    # its permutation is the identity
+    "non-isometric-square": (
+        None, _point(vertices=[(2, "2:[[1,0],[0,1]]")]), "ss",
+        InconsistencyError,
+        "not distance-preserving on the pair (2:[[1,0],[0,1]], "
+        "2:[[1,1],[0,2]])"),
 }
 
 

@@ -19,7 +19,7 @@ def test_library_has_no_assert_statements():
 # public names that only __init__, the tests or the benchmark reach; drop a
 # name once a src/ caller uses it or it is deleted, and add none
 UNREFERENCED = {
-    "galois_apply", "galois_twist", "phi_tilde",  # descent
+    "galois_apply", "phi_tilde",  # descent
     "snf",  # linalg
     "radical_lattice", "ideal_product", "principal_ideal",
     "ideal_from_json",  # orders
@@ -52,6 +52,51 @@ def test_public_names_have_a_caller_in_the_library():
                     used.add(name)
     assert len(defined) >= 50
     assert defined - used == UNREFERENCED
+
+
+# public methods and properties that only the tests or the benchmark reach;
+# the same rules as for UNREFERENCED
+UNREFERENCED_METHODS = {
+    "AdelicPoint.vertex_map",  # descent
+    "LeftIdeal.right_order", "Order.elements",  # orders
+    "QuatElement.trd",  # quaternion
+}
+
+
+def _names(node):
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def test_public_methods_have_a_caller_in_the_library():
+    """Every public method or property of a src/qmtree class is referenced
+    by name in a src/ module, outside its own definition and __init__.py,
+    or is on the shrinking UNREFERENCED_METHODS list."""
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))
+             if path.name != "__init__.py"]
+    counts = {}
+    for tree in trees:
+        for name in _names(tree):
+            counts[name] = counts.get(name, 0) + 1
+    methods, unreferenced = 0, set()
+    for tree in trees:
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (not isinstance(node, ast.FunctionDef)
+                        or node.name.startswith("_")):
+                    continue
+                methods += 1
+                own = sum(name == node.name for name in _names(node))
+                if counts.get(node.name, 0) == own:
+                    unreferenced.add(f"{cls.name}.{node.name}")
+    assert methods >= 30
+    assert unreferenced == UNREFERENCED_METHODS
 
 
 def test_functools_caches_are_bounded():
