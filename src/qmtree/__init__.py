@@ -2,7 +2,7 @@
 
 The layers, bottom to top:
 
-- ``linalg``: integer/rational lattice arithmetic (HNF, SNF, indices)
+- ``linalg``: lattice arithmetic; SNF and inverse are read off the HNF
 - ``quaternion``: rational quaternion algebras and Hilbert symbols
 - ``orders``: orders, maximalization, Eichler suborders, left ideals
 - ``tree``: the (ell+1)-regular tree of local lattice classes

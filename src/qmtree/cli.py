@@ -177,7 +177,7 @@ def cmd_ideals_tree(args) -> int:
         Path(args.dot).write_text(it.tree_to_dot(tr), encoding="utf-8")
         out["dot"] = args.dot
     if args.verify:
-        out["isomorphism"] = it.verify_tree_isomorphism(tr, seed=_seed(args))
+        out["isomorphism"] = it.verify_tree_isomorphism(tr)
     _emit(out)
     return EXIT_OK
 

@@ -91,13 +91,14 @@ def build_ideal_tree(order: Order, ell: int, depth: int,
     return IdealTree(order, ell, depth, tuple(nodes), seed)
 
 
-def verify_tree_isomorphism(tr: IdealTree, seed: int = 0) -> dict:
+def verify_tree_isomorphism(tr: IdealTree, seed: Optional[int] = None) -> dict:
     """Compare the ideal tree with the abstract lattice-class tree:
-    localizations, under a splitting of their own, must give back each
-    node's vertex, map level k bijectively onto the radius-k sphere and
-    turn parent/child pairs into tree edges."""
+    localizations, under a splitting seeded as the tree's (or by seed), must
+    give back each node's vertex, map level k bijectively onto the radius-k
+    sphere and turn parent/child pairs into tree edges."""
     r = bt.root(tr.ell)
-    th = splitting_data(tr.order, tr.ell, tr.depth + 1, seed)
+    th = splitting_data(tr.order, tr.ell, tr.depth + 1,
+                        tr.seed if seed is None else seed)
     vertex_of: List[bt.TreeVertex] = []
     consistent = True
     for node in tr.nodes:

@@ -7,6 +7,13 @@ all come from one forward substitution (triangular_coords).  Matrices are
 immutable tuples of row tuples; integer matrices carry Python ints, rational
 ones fractions.Fraction.  All arithmetic is arbitrary precision and exact.
 
+The Hermite form (hnf) is the elimination; snf and mat_inv are readings of
+it.  Other eliminations stay: hnf_mod and tree._hnf2_rows for speed; det
+(Bareiss) for the sign a Hermite form loses; kernel_mod_p, as an hnf_mod
+version took about 4x as long on orders._idealizer's 16x4 kernels and
+radical_coords returns its reduced basis as is; mat_inv_mod, as hnf_mod of
+[M | I] took 1.6-2x as long per 4x4 inverse mod ell^2 in splitting_data.
+
 HNF convention (frozen -- tree-vertex canonicalization depends on it):
 row-style echelon form H = U*M with U unimodular, pivots strictly positive,
 entries above each pivot reduced into [0, pivot), zero rows at the bottom.
@@ -91,22 +98,21 @@ def det(M) -> Fraction:
 
 
 def mat_inv(M) -> RatMatrix:
-    """Exact inverse; raises RankError on singular input."""
+    """Exact inverse of a square matrix; RankError on singular input.  With
+    A = d*M integral, hnf([A | I]) = [H | U] has H = U*A upper triangular,
+    so M^-1 = d H^-1 U; the rows of H^-1 are the triangular coordinates of
+    the unit vectors, and M is singular iff some H[i][i] is 0."""
     n = len(M)
-    A = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(M)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if A[i][c] != 0), None)
-        if piv is None:
-            raise RankError("matrix is singular")
-        A[c], A[piv] = A[piv], A[c]
-        inv = 1 / A[c][c]
-        A[c] = [x * inv for x in A[c]]
-        for i in range(n):
-            if i != c and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[c])]
-    return tuple(tuple(row[n:]) for row in A)
+    if any(len(row) != n for row in M):
+        raise PreconditionError("inverse of a non-square matrix")
+    A, d = clear_denominators(M)
+    I = identity(n)
+    HU = hnf(tuple(a + e for a, e in zip(A, I)))
+    H = tuple(row[:n] for row in HU)
+    if any(H[i][i] == 0 for i in range(n)):
+        raise RankError("matrix is singular")
+    Hinv = [[d * Fraction(x) for x in triangular_coords(H, e)] for e in I]
+    return mat_mul(Hinv, tuple(row[n:] for row in HU))
 
 
 def mat_inv_mod(M: IntMatrix, m: int) -> IntMatrix:
@@ -114,6 +120,8 @@ def mat_inv_mod(M: IntMatrix, m: int) -> IntMatrix:
     [0, m).  Gauss-Jordan with unit pivots; raises RankError when M is
     singular modulo the prime, which is exactly when no unit pivot exists."""
     n = len(M)
+    if any(len(row) != n for row in M):
+        raise PreconditionError("inverse of a non-square matrix")
     A = [[x % m for x in row] + [int(i == j) for j in range(n)]
          for i, row in enumerate(M)]
     for c in range(n):
@@ -267,74 +275,24 @@ def hnf_mod(M: IntMatrix, ell: int, m: int) -> IntMatrix:
 
 
 def snf(M: IntMatrix) -> Tuple[int, ...]:
-    """Elementary divisors e1 | e2 | ... of a nonsingular square matrix.
-
-    Args:
-        M: square integer matrix with det != 0.
-
-    Returns:
-        Positive integers with the divisibility chain and product |det M|.
-
-    Raises:
-        RankError: singular input.
-    """
+    """Elementary divisors e1 | e2 | ... (product |det M|) of a nonsingular
+    square matrix M; RankError on singular input.  Row Hermite forms of M
+    and M^T alternate until diagonal: the first pivot shrinks to a divisor
+    until it divides its row and column, then stays alone there.  Pairwise
+    (gcd, lcm) on the diagonal gives the chain (Cohen, GTM 138, 2.4)."""
     n = len(M)
     if any(len(row) != n for row in M):
         raise PreconditionError("snf needs a square matrix")
-    A = [list(row) for row in M]
-    for k in range(n):
-        while True:
-            piv = next(((i, j) for i in range(k, n) for j in range(k, n)
-                        if A[i][j] != 0), None)
-            if piv is None:
-                raise RankError("singular matrix in snf")
-            i, j = piv
-            if i != k:
-                A[k], A[i] = A[i], A[k]
-            if j != k:
-                for row in A:
-                    row[k], row[j] = row[j], row[k]
-            # clear column k below with row ops; plain subtraction when the
-            # pivot divides (keeps the pivot row fixed, which is what makes
-            # the alternation below terminate)
-            for i in range(k + 1, n):
-                a, b = A[k][k], A[i][k]
-                if b == 0:
-                    continue
-                if a != 0 and b % a == 0:
-                    q = b // a
-                    A[i] = [v - q * u for u, v in zip(A[k], A[i])]
-                    continue
-                g, x, y = xgcd(a, b)
-                p, q = -(b // g), a // g
-                rk, ri = A[k], A[i]
-                A[k] = [x * u + y * v for u, v in zip(rk, ri)]
-                A[i] = [p * u + q * v for u, v in zip(rk, ri)]
-            # clear row k to the right with column ops
-            for j in range(k + 1, n):
-                a, b = A[k][k], A[k][j]
-                if b == 0:
-                    continue
-                if a != 0 and b % a == 0:
-                    q = b // a
-                    for row in A:
-                        row[j] -= q * row[k]
-                    continue
-                g, x, y = xgcd(a, b)
-                p, q = -(b // g), a // g
-                for row in A:
-                    u, v = row[k], row[j]
-                    row[k], row[j] = x * u + y * v, p * u + q * v
-            if any(A[i][k] for i in range(k + 1, n)):
-                continue  # column ops disturbed the cleared column
-            bad = next(((i, j) for i in range(k + 1, n) for j in range(k + 1, n)
-                        if A[i][j] % A[k][k] != 0), None)
-            if bad is None:
-                break
-            A[k] = [u + v for u, v in zip(A[k], A[bad[0]])]
-        if A[k][k] < 0:
-            A[k] = [-x for x in A[k]]
-    return tuple(A[k][k] for k in range(n))
+    A = hnf(M)
+    if any(A[i][i] == 0 for i in range(n)):
+        raise RankError("singular matrix in snf")
+    while any(A[i][j] for i in range(n) for j in range(n) if i != j):
+        A = hnf(transpose(A))
+    e = [A[i][i] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            e[i], e[j] = gcd(e[i], e[j]), lcm(e[i], e[j])
+    return tuple(e)
 
 
 # ---------------------------------------------------------------- lattices

@@ -92,6 +92,14 @@ def test_isomorphism_check_with_other_seed():
     assert it.verify_tree_isomorphism(tr, seed=11)["levelsMatchSpheres"]
 
 
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_isomorphism_check_uses_the_trees_seed(seed):
+    tr = it.build_ideal_tree(max_order(-1, 3), 5, 2, seed=seed)
+    report = it.verify_tree_isomorphism(tr)
+    assert report["ok"], report
+    assert report == it.verify_tree_isomorphism(tr, seed=seed)
+
+
 def test_tree_on_eichler_order():
     E = od.eichler_order(max_order(-1, 3), 7)
     tr = it.build_ideal_tree(E, 5, 1)

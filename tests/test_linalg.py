@@ -128,6 +128,16 @@ def congruence_kernel_oracle(f, m):
     return la.hnf_basis(tuple(rows), expect_rank=n)
 
 
+def random_singular(rng, n, bound):
+    """A square matrix with one row a combination of the others (the zero
+    row when n = 1)."""
+    M = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+    k = rng.randrange(n)
+    cs = [rng.randint(-3, 3) if i != k else 0 for i in range(n)]
+    M[k] = [sum(c * row[j] for c, row in zip(cs, M)) for j in range(n)]
+    return tuple(tuple(r) for r in M)
+
+
 def random_unimodular(rng, n):
     U = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(3 * n):
@@ -250,12 +260,44 @@ def test_mat_inv_mod_matches_the_fraction_inverse():
         assert la.mat_inv_mod(M, m) == want
 
 
+def test_mat_inv_and_mat_inv_mod_refuse_non_square_input():
+    for M in (((1, 2),), ((1,), (2,))):
+        with pytest.raises(PreconditionError):
+            la.mat_inv(M)
+    with pytest.raises(PreconditionError):
+        la.mat_inv_mod(((1, 2),), 5)
+
+
+def test_mat_inv_is_a_fraction_inverse():
+    rng = random.Random(29)
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        M = tuple(tuple(Fraction(rng.randint(-50, 50), rng.randint(1, 12))
+                        for _ in range(n)) for _ in range(n))
+        if la.det(M) == 0:
+            continue
+        X = la.mat_inv(M)
+        assert all(type(x) is Fraction for row in X for x in row)
+        assert la.mat_mul(M, X) == la.identity(n)
+
+
+def test_singular_matrices_raise_rank_error():
+    rng = random.Random(31)
+    for _ in range(100):
+        M = random_singular(rng, rng.randint(1, 6), rng.choice([2, 50, 10**6]))
+        with pytest.raises(RankError):
+            la.snf(M)
+        with pytest.raises(RankError):
+            la.mat_inv(M)
+
+
 # ---------------------------------------------------------------- SNF
 
 def test_snf_fixed_values():
     assert la.snf(la.imat([[2, 1], [0, 2]])) == (1, 4)
     assert la.snf(la.identity(2)) == (1, 1)
     assert la.snf(la.imat([[6]])) == (6,)
+    assert la.snf(()) == ()
 
 
 def test_snf_matches_minor_gcd_oracle():
@@ -275,6 +317,14 @@ def test_snf_matches_minor_gcd_oracle():
         for e in got:
             prod *= e
         assert prod == abs(int(la.det(M)))
+    for n in list(range(1, 8)) * 2:
+        while True:
+            # entries up to 10^9; row factors give divisors other than 1, det
+            M = tuple(tuple(f * rng.randint(-10**9, 10**9) for _ in range(n))
+                      for f in rng.choices([1, 2, 6, 30], k=n))
+            if la.det(M) != 0:
+                break
+        assert la.snf(M) == minor_gcd_snf(M)
 
 
 def test_snf_singular_rejected():
