@@ -9,9 +9,11 @@ multiplication table, the trace and norm forms and the order check are
 exact integer back-substitutions over B, products inside an order run on
 integer coordinates through the table, and an order built over another is
 hnf(R B) over den d.  Each maximalization step is the left order of one
-two-sided ideal, read off one kernel mod ell; the other workhorses are the
-left order of a lattice and the pullback of a local lattice to a left ideal
-through an explicit local splitting O (x) Z_ell ~ M2(Z_ell).
+two-sided ideal, read off one kernel mod ell.  Left ideals come from an
+explicit local splitting O (x) Z_ell ~ M2(Z_ell): each of the ell + 1
+norm-ell ideals is ell O plus a plane mod ell, whose Hermite form is the
+plane's reduced echelon form, read off in closed form; a local lattice of
+index ell^k pulls back through one elimination mod ell^k (hnf_mod).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import combinations, product
 from math import gcd, isqrt
 from operator import mul
 from typing import Dict, List, Sequence, Tuple
@@ -197,14 +199,27 @@ def _int_pair(k, x, y) -> int:
 
 
 def _int_coords(L, v) -> Tuple[int, ...] | None:
-    """The integer coordinates of v over the integer triangular basis L, or
-    None as soon as one division is not exact."""
-    out = []
-    for c in la.triangular_coords(L, v):
-        if c.denominator != 1:
-            return None
-        out.append(c)
-    return tuple(out)
+    """The integer coordinates of v over the integer triangular 4x4 basis L,
+    or None as soon as one division is not exact: back-substitution in Z,
+    unrolled, as this runs once per entry of every multiplication table."""
+    ((p0, a01, a02, a03), (z10, p1, a12, a13),
+     (z20, z21, p2, a23), (z30, z31, z32, p3)) = L
+    if not (p0 and p1 and p2 and p3) or z10 or z20 or z21 or z30 or z31 or z32:
+        raise PreconditionError("basis is not upper triangular")
+    v0, v1, v2, v3 = v
+    x0, r = divmod(v0, p0)
+    if r:
+        return None
+    x1, r = divmod(v1 - x0 * a01, p1)
+    if r:
+        return None
+    x2, r = divmod(v2 - x0 * a02 - x1 * a12, p2)
+    if r:
+        return None
+    x3, r = divmod(v3 - x0 * a03 - x1 * a13 - x2 * a23, p3)
+    if r:
+        return None
+    return x0, x1, x2, x3
 
 
 def _mult_table(order: Order) -> Tuple[la.IntMatrix, ...]:
@@ -591,6 +606,30 @@ def _pullback(th: SplittingData, L) -> la.IntMatrix:
     return la.hnf_mod(gens, th.ell, m)
 
 
+_PAIRS = tuple(combinations(range(4), 2))
+
+
+def _line_hnf(u, w, ell: int) -> la.IntMatrix:
+    """HNF over O's basis of ell O + span(u, w) for order coordinates u, w
+    of rank 2 mod ell, in closed form.  The index is ell^2, so the form is
+    the reduced row echelon form of span(u, w) mod ell with ell e_c filling
+    every other row c: the pivots are the lexicographically first columns
+    (i, j) with a unit minor, and rows i and j are the vectors of the span
+    with entries (1, 0) and (0, 1) there, reduced into [0, ell)."""
+    for i, j in _PAIRS:
+        det = (u[i] * w[j] - u[j] * w[i]) % ell
+        if det:
+            break
+    else:
+        raise InvariantError(f"line generators have rank below 2 mod {ell}")
+    inv = pow(det, -1, ell)
+    a, b, c, d = w[j] * inv, u[j] * inv, u[i] * inv, w[i] * inv
+    rows = [(ell, 0, 0, 0), (0, ell, 0, 0), (0, 0, ell, 0), (0, 0, 0, ell)]
+    rows[i] = tuple([(a * x - b * y) % ell for x, y in zip(u, w)])
+    rows[j] = tuple([(c * y - d * x) % ell for x, y in zip(u, w)])
+    return tuple(rows)
+
+
 # ------------------------------------------------------- Eichler orders
 
 def eichler_order(order: Order, N: int, seed: int = 0) -> Order:
@@ -738,7 +777,9 @@ def left_ideals_of_norm(order: Order, ell: int,
 
     Split ell away from the level: for v = (1, 0), ..., (1, ell-1), (0, 1)
     in that order, {x : theta(x) v = 0 mod ell}, the pullback of the local
-    lattice ell Z^2 + Z(-v_1, v_0).  Ramified ell: just the two-sided
+    lattice ell Z^2 + Z(-v_1, v_0), read off the splitting in closed form:
+    ell O plus the preimages of the two matrices with (-v_1, v_0) as one
+    row and 0 as the other (_line_hnf).  Ramified ell: just the two-sided
     prime.  ell dividing the level: direct enumeration.
     """
     if not is_prime(ell):
@@ -752,10 +793,19 @@ def left_ideals_of_norm(order: Order, ell: int,
         return [I for I in enumerate_left_ideals(order, ell)
                 if I.is_primitive()]
     _check_line_count(ell)
-    th = splitting_data(order, ell, 1, seed)
+    # theta^-1 of E00, E01, E10, E11; the line (1, t) is spanned by
+    # g1 - t g0 and h1 - t h0, the line (0, 1) by g0 and h0
+    g0, g1, h0, h1 = splitting_data(order, ell, 1, seed).inverse
+    spans = []
+    u, w = g1, h1
+    for _ in range(ell):
+        spans.append((u, w))
+        u = tuple([(x - y) % ell for x, y in zip(u, g0)])
+        w = tuple([(x - y) % ell for x, y in zip(w, h0)])
+    spans.append((g0, h0))
     out = []
-    for L in [((-t, 1), (ell, 0)) for t in range(ell)] + [((-1, 0), (0, ell))]:
-        R = _pullback(th, L)
+    for u, w in spans:
+        R = _line_hnf(u, w, ell)
         if la.hnf_index(R) != ell * ell:
             raise InvariantError("line pullback has the wrong norm")
         out.append(LeftIdeal.from_order_coords(order, R))

@@ -199,6 +199,13 @@ FROZEN_DIGESTS = [
      "d0b794790616acfaaf0ae2668d30da6a31e39535003eef2d41f603622c680842"),
     (["ideals", "norm-l", "--level", "35", "--l", "5"],
      "45a02f7f9b91e0bc84259a4bdfb5173ec5825c822839627ddeea6c7dd842dc43"),
+    # frozen before the norm-ell lines were read off the splitting in
+    # closed form: a large split prime, and a split prime over an Eichler
+    # order
+    (["ideals", "norm-l", "--l", "1009"],
+     "fe9dc8bfd84a6b0b64e484cea5870d7a92670d3739f237bf24d6855809e5c195"),
+    (["ideals", "norm-l", "--level", "35", "--l", "11"],
+     "bf37f8c0c646c3fc9e1c0d6bcc35eb136838f65873a90f6db2efb62a8b360c5c"),
     (["ideals", "tree", "--l", "5", "--depth", "2", "--verify", "--seed",
       "7"],
      "42dd8b112d15d3fc8e2dc706d973224b0521ee9e418482c47966151c11643347"),

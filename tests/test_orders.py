@@ -20,7 +20,8 @@ from qmtree import orders as od
 from qmtree.errors import (AlgebraError, InvariantError, PreconditionError,
                            RankError, ResourceError, ValidationError)
 from qmtree.ideal_tree import build_ideal_tree
-from qmtree.quaternion import QuatElement, QuaternionAlgebra, factorize
+from qmtree.quaternion import (QuatElement, QuaternionAlgebra, factorize,
+                               is_prime)
 
 
 def alg(a, b):
@@ -922,6 +923,117 @@ def test_norm_ideal_lattices_match_fraction_products():
             assert I.lattice == want, (ell, v)
             assert I.index_in_order() == la.rat_lattice_index(O.basis,
                                                               I.lattice)
+
+
+LINE_ALGEBRAS = [(-1, -1), (-1, 3), (-2, 5), (-1, 7), (3, 7), (6, -5),
+                 (-3, -7)]
+
+
+def line_sweep_orders():
+    """The maximal orders of LINE_ALGEBRAS and the level-35 Eichler order
+    over each whose discriminant is prime to 35."""
+    for a, b in LINE_ALGEBRAS:
+        O = max_order(a, b)
+        yield O
+        if gcd(O.algebra.discriminant(), 35) == 1:
+            yield od.eichler_order(O, 35)
+
+
+def test_norm_ideal_lines_match_the_pullback():
+    """The closed-form line HNFs equal the generic pullback through hnf_mod
+    of each local lattice ell Z^2 + Z(-v_1, v_0), line by line and in
+    order; the sweep must reach pivot columns other than (0, 1)."""
+    lines = other_pivots = 0
+    for O in line_sweep_orders():
+        DN = od.reduced_discriminant(O)
+        for ell in (2, 3, 5, 7, 11, 13, 101):
+            if DN % ell == 0:
+                continue
+            local = [((-t, 1), (ell, 0)) for t in range(ell)]
+            local.append(((-1, 0), (0, ell)))
+            for seed in (0, 1, 2):
+                th = od.splitting_data(O, ell, 1, seed)
+                got = od.left_ideals_of_norm(O, ell, seed)
+                assert len(got) == ell + 1
+                for I, L in zip(got, local):
+                    assert I.order_coords == od._pullback(th, L), (O, ell, L)
+                    diag = [I.order_coords[c][c] for c in range(4)]
+                    other_pivots += diag[:2] != [1, 1]
+                lines += ell + 1
+    # 159 of the 4,572 lines pivot elsewhere
+    assert lines == 4572 and other_pivots > 0
+
+
+def test_line_hnf_rejects_a_rank_deficient_pair():
+    for u, w in [((1, 2, 3, 4), (2, 4, 6, 8)), ((0, 0, 0, 0), (1, 0, 0, 0)),
+                 ((5, 10, 0, 5), (1, 2, 0, 1))]:
+        with pytest.raises(InvariantError, match="rank below 2 mod 5"):
+            od._line_hnf(u, w, 5)
+    assert od._line_hnf((0, 0, 5, 3), (0, 0, 1, 2), 5) == (
+        (5, 0, 0, 0), (0, 5, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+def test_norm_ideals_skip_the_generic_pullback(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a norm-ell line went through hnf_mod")
+
+    orders = [max_order(-1, 3), od.eichler_order(max_order(-1, 3), 35)]
+    monkeypatch.setattr(od, "_pullback", refuse)
+    monkeypatch.setattr(la, "hnf_mod", refuse)
+    for O in orders:
+        for ell in (11, 13, 101):
+            assert len(od.left_ideals_of_norm(O, ell)) == ell + 1
+
+
+def test_norm_ideals_at_the_largest_prime_within_the_line_guard():
+    ell = 16381
+    assert is_prime(ell) and not any(
+        is_prime(p) for p in range(ell + 1, od._MAX_ELL + 1))
+    ideals = od.left_ideals_of_norm(max_order(-1, 3), ell)
+    assert len(ideals) == ell + 1
+    assert len({I.order_coords for I in ideals}) == ell + 1
+    assert all(I.is_primitive() and I.norm() == ell for I in ideals)
+
+
+def int_coords_cases(rng, n):
+    """Upper triangular integer bases with nonzero pivots of either sign,
+    each with a vector in its lattice and one that is usually not."""
+    for _ in range(n):
+        L = [[0] * 4 for _ in range(4)]
+        for j in range(4):
+            L[j][j] = rng.choice([-1, 1]) * rng.randint(1, 9)
+            for k in range(j + 1, 4):
+                L[j][k] = rng.randint(-30, 30)
+        L = la.imat(L)
+        x = [rng.randint(-20, 20) for _ in range(4)]
+        yield L, tuple(sum(xi * r[c] for xi, r in zip(x, L))
+                       for c in range(4))
+        yield L, tuple(rng.randint(-300, 300) for _ in range(4))
+
+
+def test_int_coords_match_the_triangular_substitution():
+    rng = random.Random(2113)
+    hits = misses = 0
+    for L, v in int_coords_cases(rng, 400):
+        want = tuple(la.triangular_coords(L, v))
+        got = od._int_coords(L, v)
+        if all(c.denominator == 1 for c in want):
+            assert got == want and all(type(c) is int for c in got)
+            hits += 1
+        else:
+            assert got is None
+            misses += 1
+    assert hits >= 400 and misses >= 100
+
+
+@pytest.mark.parametrize("L", [
+    ((1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+    ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 2, 1)),
+    ((1, 0, 0, 0), (3, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+])
+def test_int_coords_reject_a_non_triangular_basis(L):
+    with pytest.raises(PreconditionError, match="not upper triangular"):
+        od._int_coords(L, (0, 0, 0, 0))
 
 
 def order_coords_oracle(I):
