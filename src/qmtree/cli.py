@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -377,9 +378,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# a value, not an option: "-" then a digit or a point
+_NEGATIVE = re.compile(r"-[\d.]")
+
+
+def _join_negative_values(argv):
+    """Join "--a -1/2" into "--a=-1/2", and so for --b: argparse takes a
+    token that starts with "-" for an option unless it is a negative integer
+    or decimal, and would refuse "-1/2" or "-2e3" as a missing value."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in ("--a", "--b") and _NEGATIVE.match(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(
+        sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (ValidationError, AlgebraError) as exc:

@@ -16,8 +16,8 @@ from typing import List, Optional, Tuple
 from . import linalg as la
 from .errors import (AlgebraError, InvariantError, PreconditionError,
                      ResourceError)
-from .orders import (LeftIdeal, Order, _check_tree_size, eichler_level,
-                     splitting_data)
+from .orders import (LeftIdeal, Order, _check_tree_size, _int_coords,
+                     eichler_level, splitting_data)
 from .quaternion import is_prime
 from . import tree as bt
 
@@ -79,7 +79,7 @@ def build_ideal_tree(order: Order, ell: int, depth: int,
             for w in ws:
                 J = bt.ideal_of_vertex(th, w)
                 R = J.order_coords
-                if (not all(la.lattice_contains(P, row) for row in R)
+                if (any(_int_coords(P, row) is None for row in R)
                         or la.hnf_index(R) != la.hnf_index(P) * ell * ell):
                     raise InvariantError("child is not an index-ell^2 step")
                 child = len(nodes)

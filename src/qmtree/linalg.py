@@ -10,8 +10,9 @@ ones fractions.Fraction.  All arithmetic is arbitrary precision and exact.
 The Hermite form (hnf) is the elimination; snf and mat_inv are readings of
 it.  Other eliminations stay: tree._hnf2_rows for speed, and hnf_mod, as a
 lattice containing m Z^n is read off one elimination mod m (the idealizer,
-the two-sided prime and pullbacks of index ell^k; the ell + 1 norm-ell
-lines, of index ell^2, skip it through orders._line_hnf); det
+the two-sided prime and pullbacks of local index ell^k for k >= 2; the
+index-ell lines, norm-ell ideals and depth-1 vertices alike, skip it
+through orders._line_hnf); det
 (Bareiss) for the sign a Hermite form loses; kernel_mod_p, as an hnf_mod
 version took about 4x as long on orders._idealizer's 16x4 kernels and
 radical_coords returns its reduced basis as is; mat_inv_mod, as hnf_mod of

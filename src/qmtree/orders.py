@@ -10,10 +10,13 @@ exact integer back-substitutions over B, products inside an order run on
 integer coordinates through the table, and an order built over another is
 hnf(R B) over den d.  Each maximalization step is the left order of one
 two-sided ideal, read off one kernel mod ell.  Left ideals come from an
-explicit local splitting O (x) Z_ell ~ M2(Z_ell): each of the ell + 1
-norm-ell ideals is ell O plus a plane mod ell, whose Hermite form is the
-plane's reduced echelon form, read off in closed form; a local lattice of
-index ell^k pulls back through one elimination mod ell^k (hnf_mod).
+explicit local splitting O (x) Z_ell ~ M2(Z_ell): a local lattice of index
+ell^k is cyclic mod ell^k, spanned there by any of its rows with an entry
+prime to ell, so it pulls back to ell^k O plus the plane of preimages of
+the two matrices with that row as one row and 0 as the other.  At index ell
+(the ell + 1 norm-ell ideals, the tree's depth-1 vertices) the Hermite
+form is the plane's reduced echelon form mod ell, read off in closed form;
+above it, one elimination mod ell^k (hnf_mod).
 """
 
 from __future__ import annotations
@@ -545,20 +548,15 @@ def splitting_data(order: Order, ell: int, k: int = 1,
     units = la.identity(4)
     e = _split_idempotent(T, one, c, roots, ell, k)
 
-    # a basis of the column module O*e mod ell^k: e itself plus one g*e
+    # a basis of the column module O*e mod ell^k: e itself plus one g*e,
+    # with pivot rows (a_, b_) where its 2x2 minor is a unit
     cands = [e] + [_mul(T, g, e, mod) for g in units]
-    V = next(((u, v) for i, u in enumerate(cands) for v in cands[i + 1:]
-              if any((u[a] * v[b] - u[b] * v[a]) % ell
-                     for a in range(4) for b in range(4))), None)
-    if V is None:
+    pairs = ((u, v) for i, u in enumerate(cands) for v in cands[i + 1:])
+    found = next(((V, piv) for V in pairs
+                  if (piv := _unit_minor(*V, ell))), None)
+    if found is None:
         raise InvariantError(f"no rank-2 basis of the splitting module {at}")
-    # pivot rows with a unit 2x2 minor
-    piv = next(((a, b) for a in range(4) for b in range(4) if a != b and
-                (V[0][a] * V[1][b] - V[0][b] * V[1][a]) % ell), None)
-    if piv is None:
-        raise InvariantError(f"splitting module basis has no unit minor {at}")
-    a_, b_ = piv
-    dmin = (V[0][a_] * V[1][b_] - V[0][b_] * V[1][a_]) % mod
+    V, (a_, b_, dmin) = found
     dinv = pow(dmin, -1, mod)
 
     def express(wc) -> Tuple[int, int]:
@@ -594,34 +592,54 @@ def splitting_data(order: Order, ell: int, k: int = 1,
 
 def _pullback(th: SplittingData, L) -> la.IntMatrix:
     """HNF order coordinates of I_L = {x in O : the rows of theta(x) lie in
-    L} for a 2x2 integer basis L with m = |det L| dividing ell^k: I_L is m O
-    plus the preimages of the matrices with one row in L and the other 0."""
-    (w, x), (y, z) = L
-    m = abs(w * z - x * y)
+    L} for a 2x2 integer basis L with m = |det L| dividing ell^k.
+
+    A row r of L with an entry prime to ell generates L mod m: Z r has
+    index m in Z^2 / m Z^2, as L does, so L = Z r + m Z^2.  I_L is then m O
+    plus the preimages of the two matrices with r as one row and 0 as the
+    other: a line form mod ell at m = ell (_line_hnf), one elimination mod
+    m above it.  Only a basis inside ell Z^2 has no such row."""
+    (p, q), (s, t) = L
+    ell, m = th.ell, abs(p * t - q * s)
     if m == 0 or th.modulus % m:
         raise PreconditionError(f"index {m} does not divide {th.modulus}")
-    # (E00, E01) put a row (p, q) in row 0, (E10, E11) put it in row 1
-    gens = tuple(tuple(p * s + q * t for s, t in zip(u, v))
-                 for p, q in L for u, v in (th.inverse[:2], th.inverse[2:]))
-    return la.hnf_mod(gens, th.ell, m)
+    r = next((r for r in L if r[0] % ell or r[1] % ell), None)
+    if r is None:
+        raise PreconditionError(f"no row of {L} has an entry prime to {ell}")
+    # theta^-1 of E00, E01 put r in row 0, those of E10, E11 in row 1
+    (r0, r1), (g0, g1, h0, h1) = r, th.inverse
+    u = tuple([(r0 * x + r1 * y) % m for x, y in zip(g0, g1)])
+    w = tuple([(r0 * x + r1 * y) % m for x, y in zip(h0, h1)])
+    if m == ell:
+        return _line_hnf(u, w, ell)
+    return la.hnf_mod((u, w), ell, m)
 
 
 _PAIRS = tuple(combinations(range(4), 2))
+
+
+def _unit_minor(u, w, ell: int) -> Tuple[int, int, int] | None:
+    """(i, j, minor) for the lexicographically first columns i < j where the
+    2x2 minor of the rows u, w is prime to ell, or None if u, w have rank
+    below 2 mod ell."""
+    for i, j in _PAIRS:
+        det = u[i] * w[j] - u[j] * w[i]
+        if det % ell:
+            return i, j, det
+    return None
 
 
 def _line_hnf(u, w, ell: int) -> la.IntMatrix:
     """HNF over O's basis of ell O + span(u, w) for order coordinates u, w
     of rank 2 mod ell, in closed form.  The index is ell^2, so the form is
     the reduced row echelon form of span(u, w) mod ell with ell e_c filling
-    every other row c: the pivots are the lexicographically first columns
-    (i, j) with a unit minor, and rows i and j are the vectors of the span
-    with entries (1, 0) and (0, 1) there, reduced into [0, ell)."""
-    for i, j in _PAIRS:
-        det = (u[i] * w[j] - u[j] * w[i]) % ell
-        if det:
-            break
-    else:
+    every other row c: the pivots are the first columns (i, j) with a unit
+    minor (_unit_minor), and rows i and j are the vectors of the span with
+    entries (1, 0) and (0, 1) there, reduced into [0, ell)."""
+    piv = _unit_minor(u, w, ell)
+    if piv is None:
         raise InvariantError(f"line generators have rank below 2 mod {ell}")
+    i, j, det = piv
     inv = pow(det, -1, ell)
     a, b, c, d = w[j] * inv, u[j] * inv, u[i] * inv, w[i] * inv
     rows = [(ell, 0, 0, 0), (0, ell, 0, 0), (0, 0, ell, 0), (0, 0, 0, ell)]

@@ -53,6 +53,22 @@ def test_qa_info_rational_input(capsys):
     assert obj["discriminant"] == 6
 
 
+@pytest.mark.parametrize("flag,value", [("--a", "-1/2"), ("--b", "-2e3"),
+                                        ("--a", "-.5")])
+def test_negative_rational_as_a_separate_token(capsys, flag, value):
+    other = "--b" if flag == "--a" else "--a"
+    apart = run(capsys, "qa", "info", flag, value, other, "3")
+    joined = run(capsys, "qa", "info", f"{flag}={value}", other, "3")
+    assert apart == joined and apart[0] == 0
+
+
+def test_flag_followed_by_a_flag_still_misses_its_value(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["qa", "info", "--a", "--b", "3"])
+    assert err.value.code == 2
+    assert "--a: expected one argument" in capsys.readouterr().err
+
+
 def test_qa_info_zero_is_usage_error(capsys):
     code, _ = run(capsys, "qa", "info", "--a", "0", "--b", "3")
     assert code == 2

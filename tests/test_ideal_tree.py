@@ -17,6 +17,8 @@ from qmtree import tree as bt
 from qmtree.errors import AlgebraError, PreconditionError, ResourceError
 from qmtree.quaternion import QuaternionAlgebra, is_prime
 
+from pullback_oracle import four_generator_pullback
+
 
 @functools.lru_cache(maxsize=None)
 def max_order(a, b):
@@ -136,21 +138,47 @@ def test_pullback_matches_congruence_oracle(a, b, level):
         for node in tr.nodes:
             R = od._pullback(low, node.local)
             assert R == local_lattice_coords(high, node.local), (ell, node)
+            assert R == four_generator_pullback(low, node.local), (ell, node)
             assert od.LeftIdeal.from_order_coords(O, R) == node.ideal
 
 
 def test_pullback_needs_the_index_to_divide_the_modulus():
     th = od.splitting_data(max_order(1, 1), 3, 2)
     od._pullback(th, ((1, 0), (0, 9)))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="does not divide"):
         od._pullback(th, ((1, 0), (0, 27)))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="does not divide"):
         od._pullback(th, ((1, 0), (0, 2)))
     # a vertex at distance 2 is within the precision, one at 3 is not
     I = bt.ideal_of_vertex(th, bt.TreeVertex(3, ((1, 0), (0, 9))))
     assert I.norm() == 9
     with pytest.raises(PreconditionError, match="does not divide"):
         bt.ideal_of_vertex(th, bt.TreeVertex(3, ((1, 0), (0, 27))))
+
+
+def test_depth_one_trees_skip_the_generic_elimination(monkeypatch):
+    """Every index-ell vertex ideal comes from the line form, as the
+    norm-ell ideals do; hnf_mod is for deeper vertices only."""
+    def refuse(*args):
+        raise AssertionError("a depth-1 vertex went through hnf_mod")
+
+    orders = [max_order(-1, 3), od.eichler_order(max_order(-1, 3), 35)]
+    monkeypatch.setattr(la, "hnf_mod", refuse)
+    for O in orders:
+        for ell in (11, 101):
+            assert len(it.build_ideal_tree(O, ell, 1).level(1)) == ell + 1
+
+
+def test_pullback_needs_a_row_prime_to_ell():
+    """A basis inside ell Z^2 is no vertex: no row of it spans it mod its
+    index, so no line form applies."""
+    th = od.splitting_data(max_order(1, 1), 3, 2)
+    for L in (((3, 0), (0, 3)), ((3, 6), (0, 3)), ((-3, 3), (3, 0))):
+        with pytest.raises(PreconditionError, match="prime to 3"):
+            od._pullback(th, L)
+    # one cyclic row suffices, whichever row it is
+    assert od._pullback(th, ((3, 0), (0, 1))) == od._pullback(
+        th, ((0, 1), (3, 0))) == four_generator_pullback(th, ((3, 0), (0, 1)))
 
 
 @pytest.mark.parametrize("ell", [0, 1, 4, -5])
@@ -212,6 +240,10 @@ IDEAL_TREE_DIGESTS = {
         "869e708f83961cb292aa9af7801a1611e3284a26e5b7e5c7f944d5a49b844b52",
     ((-1, 3, 1), 101, 1, 0):
         "d50415c3387968cfbb513debeee7314e7a849f47fb689e58d43c329caf2a0e7c",
+    ((-1, 3, 1), 1009, 1, 0):
+        "fb44e534cdea46d696c14fc892e736c0e8539c551d3026c1863df940556718d7",
+    ((-1, 3, 35), 11, 2, 3):
+        "d6b1e02974d1d9e69a547f458a9bdd8e4b97aa650eb535978bd95a27767e86b3",
 }
 
 

@@ -23,6 +23,8 @@ from qmtree.ideal_tree import build_ideal_tree
 from qmtree.quaternion import (QuatElement, QuaternionAlgebra, factorize,
                                is_prime)
 
+from pullback_oracle import four_generator_pullback
+
 
 def alg(a, b):
     return QuaternionAlgebra(a, b)
@@ -940,9 +942,10 @@ def line_sweep_orders():
 
 
 def test_norm_ideal_lines_match_the_pullback():
-    """The closed-form line HNFs equal the generic pullback through hnf_mod
-    of each local lattice ell Z^2 + Z(-v_1, v_0), line by line and in
-    order; the sweep must reach pivot columns other than (0, 1)."""
+    """The closed-form line HNFs equal the pullback of each local lattice
+    ell Z^2 + Z(-v_1, v_0), line by line and in order, and the four-generator
+    pullback through hnf_mod that shares no code with the line form; the
+    sweep must reach pivot columns other than (0, 1)."""
     lines = other_pivots = 0
     for O in line_sweep_orders():
         DN = od.reduced_discriminant(O)
@@ -957,6 +960,7 @@ def test_norm_ideal_lines_match_the_pullback():
                 assert len(got) == ell + 1
                 for I, L in zip(got, local):
                     assert I.order_coords == od._pullback(th, L), (O, ell, L)
+                    assert I.order_coords == four_generator_pullback(th, L)
                     diag = [I.order_coords[c][c] for c in range(4)]
                     other_pivots += diag[:2] != [1, 1]
                 lines += ell + 1

@@ -120,3 +120,37 @@ def test_functools_caches_are_bounded():
                     unbounded.append(f"{path.name}:{node.name}")
     assert caches >= 2
     assert unbounded == []
+
+
+# each module imports only the siblings listed before it
+LAYERS = ("errors", "linalg", "quaternion", "orders", "tree", "center",
+          "ideal_tree", "descent", "cli")
+
+
+def _sibling_imports(tree):
+    """The qmtree modules an AST imports, relative or absolute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "qmtree" if node.level == 1 else ""
+            base = ".".join(filter(None, (base, node.module)))
+            names = ([f"qmtree.{alias.name}" for alias in node.names]
+                     if base == "qmtree" else [base])
+        else:
+            continue
+        yield from (n.split(".")[1] for n in names
+                    if n.startswith("qmtree."))
+
+
+def test_modules_import_only_lower_layers():
+    """The package is layered as LAYERS: orders cannot import tree, for
+    one.  __init__ and __main__ sit on top and are exempt."""
+    assert sorted(p.stem for p in SRC.glob("*.py")) == sorted(
+        LAYERS + ("__init__", "__main__"))
+    upward = [f"{name} imports {sibling}"
+              for rank, name in enumerate(LAYERS)
+              for sibling in _sibling_imports(ast.parse(
+                  (SRC / f"{name}.py").read_text(encoding="utf-8")))
+              if sibling not in LAYERS[:rank]]
+    assert upward == []
