@@ -13,9 +13,7 @@ Subcommands:
     descent run      evaluate scenario files and write reports
 
 All output is JSON with sorted keys (rationals appear as "num/den"
-strings), so identical inputs give byte-identical output.  The
-idempotent-search seed defaults to the QMTREE_SEED environment
-variable, or 0.
+strings), so identical inputs give byte-identical output.
 
 Exit codes: 0 success; 2 parse or validation failure; 3 violated
 precondition or internal invariant; 4 resource guard; 5 descent checks
@@ -26,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -60,18 +57,6 @@ def _fraction(text: str) -> Fraction:
         return od._parse_frac(text)
     except ValidationError as exc:
         raise argparse.ArgumentTypeError(str(exc))
-
-
-def _seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    raw = os.environ.get("QMTREE_SEED")
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValidationError(f"QMTREE_SEED must be an integer, got {raw!r}")
 
 
 def _emit(obj) -> None:
@@ -117,7 +102,7 @@ def cmd_order_maximal(args) -> int:
 
 def cmd_order_eichler(args) -> int:
     O0 = od.maximal_order(QuaternionAlgebra(args.a, args.b))
-    O = od.eichler_order(O0, args.level, seed=_seed(args))
+    O = od.eichler_order(O0, args.level, seed=args.seed)
     _emit({
         "level": args.level,
         "order": od.order_to_json(O),
@@ -149,13 +134,13 @@ def cmd_order_verify(args) -> int:
 def _built_order(args):
     O = od.maximal_order(QuaternionAlgebra(args.a, args.b))
     if getattr(args, "level", 1) != 1:
-        O = od.eichler_order(O, args.level, seed=_seed(args))
+        O = od.eichler_order(O, args.level, seed=getattr(args, "seed", 0))
     return O
 
 
 def cmd_ideals_norml(args) -> int:
     O = _built_order(args)
-    ideals = od.left_ideals_of_norm(O, args.l, seed=_seed(args))
+    ideals = od.left_ideals_of_norm(O, args.l, seed=args.seed)
     ideals.sort(key=lambda I: I.order_coords)
     _emit({
         "ell": args.l,
@@ -167,7 +152,7 @@ def cmd_ideals_norml(args) -> int:
 
 def cmd_ideals_tree(args) -> int:
     O = _built_order(args)
-    tr = it.build_ideal_tree(O, args.l, args.depth, seed=_seed(args))
+    tr = it.build_ideal_tree(O, args.l, args.depth)
     out = {
         "ell": args.l,
         "depth": args.depth,
@@ -194,17 +179,8 @@ def cmd_ideals_oracle(args) -> int:
 # ------------------------------------------------------------------ bt
 
 
-def _vertex(args, name):
-    v = bt.parse_vertex(getattr(args, name))
-    if getattr(args, "l", None) is not None and args.l != v.ell:
-        raise ValidationError(
-            f"--l {args.l} does not match the vertex prime {v.ell}"
-        )
-    return v
-
-
 def cmd_bt_neighbors(args) -> int:
-    v = _vertex(args, "v")
+    v = bt.parse_vertex(args.v)
     _emit({
         "vertex": bt.format_vertex(v),
         "neighbors": [bt.format_vertex(w) for w in bt.neighbors(v)],
@@ -234,8 +210,6 @@ def _read_vertex_list(path):
             entries = json.loads(text)
         except ValueError as exc:  # also numbers past the digit limit
             raise ValidationError(f"{path}: not valid JSON ({exc})")
-        if not isinstance(entries, list):
-            raise ValidationError(f"{path}: expected a JSON list")
     else:
         entries = [line.strip() for line in text.splitlines() if line.strip()]
     return [bt.parse_vertex(e) for e in entries]
@@ -255,17 +229,11 @@ def cmd_bt_center(args) -> int:
 
 
 def cmd_descent_run(args) -> int:
-    if args.report and len(args.scenario) != 1:
-        raise ValidationError("--report only applies to a single scenario")
     reports = [dsc.run_descent(dsc.load_scenario(p)) for p in args.scenario]
-    for path, report in zip(args.scenario, reports):
-        text = dsc.report_to_json(report)
-        if args.report:
-            Path(args.report).write_text(text, encoding="utf-8")
-        if args.report_dir:
-            stem = Path(path).stem
-            target = Path(args.report_dir) / f"{stem}.report.json"
-            target.write_text(text, encoding="utf-8")
+    if args.report_dir:
+        for path, report in zip(args.scenario, reports):
+            target = Path(args.report_dir) / f"{Path(path).stem}.report.json"
+            target.write_text(dsc.report_to_json(report), encoding="utf-8")
     if len(reports) == 1:
         _emit(reports[0])
     else:
@@ -290,12 +258,21 @@ def _add_algebra_flags(p, default=True):
 
 
 def _add_seed_flag(p):
-    p.add_argument("--seed", type=int, default=None,
-                   help="idempotent-search seed (default: QMTREE_SEED or 0)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="idempotent-search seed (default 0)")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads each option only under its full name, so an option that is
+    gone (--report, say) is refused, not taken for a longer one
+    (--report-dir)."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qmtree",
         description="Exact quaternion orders, lattice-class trees, and "
                     "descent scenario reports.",
@@ -341,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", help="write DOT graph to this path")
     p.add_argument("--verify", action="store_true",
                    help="also check the tree against localization")
-    _add_seed_flag(p)
     p.set_defaults(func=cmd_ideals_tree)
     p = ideals_sub.add_parser("oracle")
     _add_algebra_flags(p)
@@ -351,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     btp = top.add_parser("bt", help="lattice-class tree operations")
     bt_sub = btp.add_subparsers(dest="subcommand", required=True)
     p = bt_sub.add_parser("neighbors")
-    p.add_argument("--l", type=int, default=None)
     p.add_argument("--v", required=True, help='vertex, e.g. "2:[[1,0],[0,1]]"')
     p.set_defaults(func=cmd_bt_neighbors)
     p = bt_sub.add_parser("distance")
@@ -371,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     descent_sub = descent.add_subparsers(dest="subcommand", required=True)
     p = descent_sub.add_parser("run")
     p.add_argument("scenario", nargs="+", help="scenario JSON files")
-    p.add_argument("--report", help="write the single report here")
     p.add_argument("--report-dir", help="write one report per scenario here")
     p.set_defaults(func=cmd_descent_run)
 

@@ -304,8 +304,6 @@ def scenario_from_json(obj) -> GaloisScenario:
         for ell in sorted(covered - set(ramified)):
             if not any(f"ramified.{ell}" in msg for msg in bad):
                 bad.append(f"ramified: missing prime {ell} dividing D")
-        for ell in sorted(set(ramified) - covered):
-            bad.append(f"ramified.{ell}: prime does not divide D")
 
     if bad:
         raise ValidationError("invalid scenario: " + "; ".join(bad))

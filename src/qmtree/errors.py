@@ -1,7 +1,7 @@
 """Exception taxonomy shared by all qmtree modules.
 
-The CLI maps these onto exit codes: ValidationError -> 2,
-PreconditionError / InvariantError / AlgebraError / RankError -> 3,
+The CLI maps these onto exit codes: ValidationError / AlgebraError -> 2,
+PreconditionError / InvariantError / InconsistencyError / RankError -> 3,
 ResourceError -> 4.  Descent check failures are reported, not raised.
 """
 

@@ -211,16 +211,15 @@ def hnf(M: IntMatrix) -> IntMatrix:
     return tuple(tuple(row) for row in H)
 
 
-def hnf_basis(M: IntMatrix, expect_rank: int | None = None) -> IntMatrix:
+def hnf_basis(M: IntMatrix) -> IntMatrix:
     """Nonzero rows of hnf(M): the canonical basis of the row lattice.
 
-    With expect_rank set (default: the column count), raises RankError if the
-    lattice has lower rank.
+    Raises RankError if the lattice has lower rank than the column count.
     """
     rows = tuple(row for row in hnf(M) if any(row))
-    want = len(M[0]) if (expect_rank is None and M) else expect_rank
-    if want is not None and len(rows) != want:
-        raise RankError(f"row lattice has rank {len(rows)}, expected {want}")
+    if M and len(rows) != len(M[0]):
+        raise RankError(
+            f"row lattice has rank {len(rows)}, expected {len(M[0])}")
     return rows
 
 
@@ -354,7 +353,7 @@ def lattice_canonical(M) -> RatMatrix:
     """
     R = rmat(M)
     A, d = clear_denominators(R)
-    H = hnf_basis(A, expect_rank=len(R[0]))
+    H = hnf_basis(A)
     return tuple(tuple(Fraction(x, d) for x in row) for row in H)
 
 
@@ -454,4 +453,4 @@ def congruence_sublattice(R: IntMatrix, c: Sequence[int], m: int) -> IntMatrix:
     """Sublattice {x in rowspan(R) : x . c == 0 (mod m)}, basis in HNF."""
     f = tuple(sum(r * int(ci) for r, ci in zip(row, c)) for row in R)
     T = congruence_kernel(f, m)
-    return hnf_basis(mat_mul(T, R), expect_rank=len(R[0]))
+    return hnf_basis(mat_mul(T, R))

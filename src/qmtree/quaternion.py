@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import List, Optional, Tuple
 
 from .errors import AlgebraError, InvariantError, ResourceError
@@ -21,16 +22,21 @@ Place = Optional[int]
 
 # ---------------------------------------------------------------- primes
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13, the least strong pseudoprime to all of _MR_BASES
+_PSI_13 = 3317044064679887385961981
 # trial divisors stop here; a cofactor left beyond it must test prime
 _TRIAL_LIMIT = 10 ** 6
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin with the twelve prime bases 2..37.
+    """Miller-Rabin with the thirteen prime bases 2..41, and from psi_13 on
+    a strong Lucas test as well.
 
-    Proven exact for n below about 3.3e24; above that a composite that is a
-    strong pseudoprime to all twelve bases would be reported prime.
+    Exact below psi_13 = 3317044064679887385961981 (Sorenson and Webster,
+    2015).  From psi_13 on, base 2 and the Lucas test make this the
+    Baillie-PSW test: no composite is known to pass it, but that is not a
+    proof, so a prime answer there is the one stated limit of exactness.
     """
     if n < 2:
         return False
@@ -52,7 +58,57 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _PSI_13 or _strong_lucas(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n >= 1."""
+    a %= n
+    t = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                t = -t
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            t = -t
+        a %= n
+    return t if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable prime test for odd n > 1, with Selfridge's
+    parameters: D the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1,
+    Q = (1 - D)/4.  With n + 1 = d 2^s, d odd, n passes when U_d = 0 or
+    V_(d 2^r) = 0 mod n for some 0 <= r < s.
+    """
+    if isqrt(n) ** 2 == n:  # no D would have (D/n) = -1
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) == 1:
+        D = -D + 2 if D < 0 else -D - 2
+    if j == 0:
+        return abs(D) == n
+    Q, half = (1 - D) // 4, (n + 1) // 2  # half = 1/2 mod n
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # (U_k, V_k, Q^k) from k = 0 along the bits of d: k -> 2k, then
+    # 2k -> 2k + 1 on a set bit
+    U, V, Qk = 0, 2, 1
+    for bit in bin(d)[2:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = (U + V) * half % n, (D * U + V) * half % n, Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def factorize(n: int) -> List[Tuple[int, int]]:

@@ -129,6 +129,13 @@ def test_order_verify_reports_problems(capsys, tmp_path):
     assert ver["isOrder"] is False and ver["problems"]
 
 
+def test_order_verify_needs_algebra_and_basis(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text("{}", encoding="utf-8")
+    code, out = run(capsys, "order", "verify", "--order", str(path))
+    assert code == 2 and out == ""
+
+
 def test_order_discriminant_rejects_nonorder(capsys, tmp_path):
     code, obj = run_json(capsys, "order", "maximal")
     broken = obj["order"]
@@ -222,8 +229,7 @@ FROZEN_DIGESTS = [
      "fe9dc8bfd84a6b0b64e484cea5870d7a92670d3739f237bf24d6855809e5c195"),
     (["ideals", "norm-l", "--level", "35", "--l", "11"],
      "bf37f8c0c646c3fc9e1c0d6bcc35eb136838f65873a90f6db2efb62a8b360c5c"),
-    (["ideals", "tree", "--l", "5", "--depth", "2", "--verify", "--seed",
-      "7"],
+    (["ideals", "tree", "--l", "5", "--depth", "2", "--verify"],
      "42dd8b112d15d3fc8e2dc706d973224b0521ee9e418482c47966151c11643347"),
     # frozen before order structure moved to the integer cleared basis:
     # fractional structure constants (argparse reads a bare -5/2 as an
@@ -252,8 +258,7 @@ def test_output_is_byte_identical_to_the_frozen_digest(capsys, argv,
 
 
 def test_bt_neighbors(capsys):
-    code, obj = run_json(capsys, "bt", "neighbors", "--l", "2", "--v",
-                         "2:[[1,0],[0,1]]")
+    code, obj = run_json(capsys, "bt", "neighbors", "--v", "2:[[1,0],[0,1]]")
     assert code == 0
     assert obj["neighbors"] == [
         "2:[[1,0],[0,2]]",
@@ -263,15 +268,18 @@ def test_bt_neighbors(capsys):
 
 
 def test_bt_neighbors_prime_mismatch(capsys):
-    code, _ = run(capsys, "bt", "neighbors", "--l", "3", "--v",
-                  "2:[[1,0],[0,1]]")
-    assert code == 2
+    # the prime is read off the vertex literal alone: --l is refused
+    with pytest.raises(SystemExit) as err:
+        main(["bt", "neighbors", "--l", "3", "--v", "2:[[1,0],[0,1]]"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --l 3" in capsys.readouterr().err
 
 
 def test_bt_neighbors_prime_zero_is_a_mismatch(capsys):
-    code = main(["bt", "neighbors", "--l", "0", "--v", "2:[[1,0],[0,1]]"])
-    assert code == 2
-    assert "--l 0 does not match the vertex prime 2" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as err:
+        main(["bt", "neighbors", "--l", "0", "--v", "2:[[1,0],[0,1]]"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --l 0" in capsys.readouterr().err
 
 
 def test_bt_neighbors_at_the_largest_prime_within_the_line_guard():
@@ -357,6 +365,19 @@ def test_qa_info_unfactorable_b(capsys):
     assert code == 4
 
 
+def test_qa_info_refuses_psi_12():
+    # 399165290221 * 798330580441, the least strong pseudoprime to the
+    # bases 2..37: taken for a prime, it gave a wrong discriminant, exit 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "qmtree", "qa", "info", "--a", "-38",
+         "--b", "318665857834031151167461"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: cannot factor")
+
+
 def test_bt_center_empty_file(capsys, tmp_path):
     empty = tmp_path / "none.txt"
     empty.write_text("", encoding="utf-8")
@@ -367,23 +388,19 @@ def test_bt_center_empty_file(capsys, tmp_path):
 # ------------------------------------------------------------- descent
 
 
-def test_descent_run_single(capsys, tmp_path):
-    out = tmp_path / "report.json"
-    code, obj = run_json(capsys, "descent", "run",
-                         str(DATA / "swap5.json"), "--report", str(out))
+def test_descent_run_single(capsys):
+    code, obj = run_json(capsys, "descent", "run", str(DATA / "swap5.json"))
     assert code == 0
     assert obj["N"] == 5 and obj["cocycle"] == {"s": [5]}
-    written = out.read_text(encoding="utf-8")
-    assert json.loads(written) == obj
 
 
 def test_descent_run_check_failure_still_writes(capsys, tmp_path):
-    code, obj = run_json(capsys, "descent", "run",
-                         str(DATA / "fixed_pair2.json"),
-                         "--report", str(tmp_path / "r.json"))
+    code, out = run(capsys, "descent", "run", str(DATA / "fixed_pair2.json"),
+                    "--report-dir", str(tmp_path))
     assert code == 5
-    assert obj["checks"]["minimality"] is False
-    assert (tmp_path / "r.json").exists()
+    assert json.loads(out)["checks"]["minimality"] is False
+    written = tmp_path / "fixed_pair2.report.json"
+    assert written.read_text(encoding="utf-8") == out
 
 
 def test_descent_run_multi_deterministic(capsys, tmp_path):
@@ -408,12 +425,6 @@ def test_descent_run_multi_exit_five(capsys, tmp_path):
     assert code == 5
     assert (tmp_path / "swap5.report.json").exists()
     assert (tmp_path / "fixed_pair2.report.json").exists()
-
-
-def test_descent_run_report_needs_single_file(capsys):
-    code, _ = run(capsys, "descent", "run", str(DATA / "swap5.json"),
-                  str(DATA / "trivial.json"), "--report", "x.json")
-    assert code == 2
 
 
 def test_descent_run_null_vertex(capsys, tmp_path):
@@ -567,18 +578,40 @@ def test_numbers_past_the_digit_limit_end_in_one_error_line(tmp_path, argv,
 
 
 def test_seed_env_override(capsys, monkeypatch):
+    # --seed 7 changes this output (see FROZEN_DIGESTS); QMTREE_SEED=7
+    # does not: only the flag sets the seed
+    argv = ("order", "eichler", "--level", "35")
+    want = run(capsys, *argv)
+    assert want != run(capsys, *argv, "--seed", "7")
     monkeypatch.setenv("QMTREE_SEED", "7")
-    _, via_env = run(capsys, "ideals", "norm-l", "--l", "5")
-    monkeypatch.delenv("QMTREE_SEED")
-    _, via_flag = run(capsys, "ideals", "norm-l", "--l", "5",
-                      "--seed", "7")
-    assert via_env == via_flag
+    assert run(capsys, *argv) == want
 
 
 def test_seed_env_invalid(capsys, monkeypatch):
+    # QMTREE_SEED is not read, so a value that is no integer is no error
+    argv = ("order", "eichler", "--level", "5")
+    want = run(capsys, *argv)
+    assert want[0] == 0
     monkeypatch.setenv("QMTREE_SEED", "pi")
-    code, _ = run(capsys, "order", "eichler", "--level", "5")
-    assert code == 2
+    assert run(capsys, *argv) == want
+
+
+# options that restated another input or changed no output
+REMOVED_OPTIONS = {
+    "ideals tree --seed": ["ideals", "tree", "--l", "5", "--depth", "1",
+                           "--seed", "1"],
+    "descent run --report": ["descent", "run", str(DATA / "swap5.json"),
+                             "--report", "r.json"],
+}
+
+
+@pytest.mark.parametrize("argv", REMOVED_OPTIONS.values(),
+                         ids=REMOVED_OPTIONS)
+def test_removed_options_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_module_entry_point():

@@ -178,6 +178,8 @@ def test_atkin_lehner_rejects_foreign_and_squareful():
         dd.atkin_lehner(Q, 4)
     with pytest.raises(PreconditionError):
         dd.atkin_lehner(Q, 0)
+    with pytest.raises(PreconditionError, match="twist member 4 is not prime"):
+        dd.atkin_lehner(Q, {4})
 
 
 def test_galois_apply_identity_and_swap():
@@ -371,6 +373,9 @@ BAD_SCENARIOS = [
       "local": {"5": {"vertices": ["6:[[1,0],[0,1]]"]}}}, "bad literal"),
     ({"D": 1, "generators": [],
       "local": {"5": {"vertices": ["5:[[0,0],[0,1]]"]}}}, "bad literal"),
+    ({"D": 1, "generators": [],
+      "local": {key: {"vertices": ["5:[[1,0],[0,1]]"], "action": {}}
+                for key in ("5", "05")}}, "local.5: duplicate prime"),
 ]
 
 
@@ -774,6 +779,12 @@ def test_phi_tilde_check_matches_all_choices_oracle(omega):
     Q = dd.AdelicPoint.build(edges, {17: bt.root(17)}, {19: "+", 23: "-"})
     assert dd.check_phi_tilde_injective(Q) is True
     assert _phi_tilde_oracle(Q) is True
+
+
+@pytest.mark.parametrize("terminus", ["5:[[1,0],[0,1]]", "5:[[1,0],[0,25]]"])
+def test_oriented_edge_refuses_endpoints_that_are_not_adjacent(terminus):
+    with pytest.raises(PreconditionError, match="must be adjacent"):
+        dd.OrientedEdge(bt.root(5), bt.parse_vertex(terminus))
 
 
 def test_phi_tilde_check_sees_a_collapsed_edge():

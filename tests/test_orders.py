@@ -689,6 +689,27 @@ def test_valuation_rejects_a_base_below_two(ell):
         od.valuation(12, ell)
 
 
+def test_valuation_of_zero_is_refused():
+    with pytest.raises(PreconditionError, match="valuation of 0"):
+        od.valuation(0, 3)
+
+
+def test_splitting_data_refuses_precision_zero():
+    with pytest.raises(PreconditionError, match="precision must be at least"):
+        od.splitting_data(max_order(-1, 3), 5, 0)
+
+
+def test_json_readers_name_the_missing_fields():
+    with pytest.raises(ValidationError, match="algebra needs fields a and b"):
+        od.algebra_from_json({})
+    O = max_order(-1, 3)
+    obj = od.ideal_to_json(od.left_ideals_of_norm(O, 5)[0])
+    assert od.ideal_from_json(obj).order == O
+    del obj["leftOrder"]
+    with pytest.raises(ValidationError, match="ideal needs fields"):
+        od.ideal_from_json(obj)
+
+
 def test_order_repr_computes_nothing():
     # the lattice of the test above is not an order; its repr still works
     O = od.Order(alg(-1, -1), la.rmat([[Fraction(1, 2), Fraction(1, 2), 0, 0],

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from qmtree import quaternion
 from qmtree.errors import AlgebraError, InvariantError, ResourceError
 from qmtree.quaternion import (QuaternionAlgebra, factorize, hilbert_symbol,
                                is_prime, sqrt_mod, squarefree_part)
@@ -63,6 +64,42 @@ def test_is_prime_larger_samples():
     assert is_prime(10 ** 9 + 7)
     assert is_prime(2 ** 61 - 1)
     assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
+    assert is_prime(10 ** 42 + 63)
+    assert is_prime(2 ** 127 - 1) and is_prime(2 ** 521 - 1)
+    assert not is_prime((2 ** 89 - 1) * (2 ** 127 - 1))
+
+
+# the least strong pseudoprimes to the first twelve and thirteen prime bases
+PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441
+PSI_13 = 3317044064679887385961981
+
+
+def test_is_prime_rejects_psi_12_and_psi_13():
+    # Miller-Rabin with the bases 2..37 alone passes both, and with 2..41
+    # still passes PSI_13: base 41 rejects PSI_12, the Lucas test PSI_13
+    assert PSI_12 == 399165290221 * 798330580441
+    assert not is_prime(PSI_12)
+    assert not is_prime(PSI_13)
+    assert PSI_13 == quaternion._PSI_13
+
+
+# the strong Lucas pseudoprimes (Selfridge parameters) below 2 * 10^5
+STRONG_LUCAS_PSEUDOPRIMES = [
+    5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519,
+    75077, 97439, 100127, 113573, 115639, 130139, 155819, 158399, 161027,
+    162133, 176399, 176471, 189419, 192509, 197801]
+
+
+def test_strong_lucas_passes_primes_and_the_known_pseudoprimes_only():
+    N = 2 * 10 ** 5
+    sieve = bytearray([1]) * N
+    sieve[0] = sieve[1] = 0
+    for i in range(2, 448):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, N, i)))
+    passed = [n for n in range(3, N, 2) if quaternion._strong_lucas(n)]
+    assert [n for n in passed if not sieve[n]] == STRONG_LUCAS_PSEUDOPRIMES
+    assert len(passed) == sum(sieve) - 1 + len(STRONG_LUCAS_PSEUDOPRIMES)
 
 
 def test_sqrt_mod_roots_and_non_residues():
@@ -111,6 +148,9 @@ def test_factorize_guard_on_large_cofactors():
     m61 = 2 ** 61 - 1
     assert factorize(12 * m61) == [(2, 2), (3, 1), (m61, 1)]
     assert factorize(p * 7) == [(7, 1), (p, 1)]
+    # both factors of PSI_12 lie past the trial bound
+    with pytest.raises(ResourceError):
+        factorize(PSI_12)
 
 
 def test_squarefree_part_values():
@@ -123,6 +163,11 @@ def test_squarefree_part_values():
 
 
 # ---------------------------------------------------------------- symbols
+
+def test_hilbert_symbol_rejects_a_composite_place():
+    with pytest.raises(AlgebraError, match="4 is not a prime"):
+        hilbert_symbol(2, 3, 4)
+
 
 def test_hilbert_symbol_fixed_values():
     assert hilbert_symbol(-1, 3, 3) == -1

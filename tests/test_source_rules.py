@@ -16,6 +16,25 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_library_reads_no_environment_variables():
+    """Output depends on the command line and the input files only: no
+    module reads os.environ or calls os.getenv (or imports either)."""
+    files = sorted(SRC.glob("*.py"))
+    assert len(files) >= 10
+    found = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name in ("environ", "environb", "getenv", "getenvb"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 # public names that only __init__, the tests or the benchmark reach; drop a
 # name once a src/ caller uses it or it is deleted, and add none
 UNREFERENCED = {

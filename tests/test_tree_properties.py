@@ -84,8 +84,7 @@ def test_index_ell_sublattices_are_hnf_bases():
                 ell_L = (tuple(ell * x for x in r1), tuple(ell * x for x in r2))
                 lines = [tuple(x + t * y for x, y in zip(r1, r2))
                          for t in range(ell)] + [r2]
-                want = [la.hnf_basis((w,) + ell_L, expect_rank=2)
-                        for w in lines]
+                want = [la.hnf_basis((w,) + ell_L) for w in lines]
                 assert index_ell_sublattices(L, ell) == want
                 nxt.extend(want)
             level = nxt
