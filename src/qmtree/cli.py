@@ -15,6 +15,10 @@ Subcommands:
 All output is JSON with sorted keys (rationals appear as "num/den"
 strings), so identical inputs give byte-identical output.
 
+Each command imports the layers it runs when it runs, so a process
+compiles only those: ``qa info`` loads ``quaternion`` alone, and
+``--help`` loads no layer.  Only ``errors`` is imported at module level.
+
 Exit codes: 0 success; 2 parse or validation failure; 3 violated
 precondition or internal invariant; 4 resource guard; 5 descent checks
 failed (the report is still produced).
@@ -29,11 +33,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import descent as dsc
-from . import ideal_tree as it
-from . import orders as od
-from . import tree as bt
-from .center import tree_center
 from .errors import (
     AlgebraError,
     InconsistencyError,
@@ -43,7 +42,6 @@ from .errors import (
     ResourceError,
     ValidationError,
 )
-from .quaternion import QuaternionAlgebra
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -53,14 +51,23 @@ EXIT_CHECKS = 5
 
 
 def _fraction(text: str) -> Fraction:
+    from .quaternion import _parse_frac
     try:
-        return od._parse_frac(text)
+        return _parse_frac(text)
     except ValidationError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def report_to_json(report: dict) -> str:
+    """The report as sorted, indented JSON: the CLI's one output format."""
+    try:
+        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    except ValueError as exc:  # an integer past the int-str digit limit
+        raise ResourceError(f"output too large to print: {exc}") from None
+
+
 def _emit(obj) -> None:
-    print(dsc.report_to_json(obj), end="")
+    print(report_to_json(obj), end="")
 
 
 def _load_json(path):
@@ -75,6 +82,7 @@ def _load_json(path):
 
 
 def cmd_qa_info(args) -> int:
+    from .quaternion import QuaternionAlgebra
     B = QuaternionAlgebra(args.a, args.b)
     _emit({
         "a": str(args.a),
@@ -92,6 +100,8 @@ def cmd_qa_info(args) -> int:
 
 
 def cmd_order_maximal(args) -> int:
+    from . import orders as od
+    from .quaternion import QuaternionAlgebra
     O = od.maximal_order(QuaternionAlgebra(args.a, args.b))
     _emit({
         "order": od.order_to_json(O),
@@ -101,6 +111,8 @@ def cmd_order_maximal(args) -> int:
 
 
 def cmd_order_eichler(args) -> int:
+    from . import orders as od
+    from .quaternion import QuaternionAlgebra
     O0 = od.maximal_order(QuaternionAlgebra(args.a, args.b))
     O = od.eichler_order(O0, args.level, seed=args.seed)
     _emit({
@@ -112,12 +124,14 @@ def cmd_order_eichler(args) -> int:
 
 
 def cmd_order_discriminant(args) -> int:
+    from . import orders as od
     O = od.order_from_json(_load_json(args.order))
     _emit({"reducedDiscriminant": od.reduced_discriminant(O)})
     return EXIT_OK
 
 
 def cmd_order_verify(args) -> int:
+    from . import orders as od
     obj = _load_json(args.order)
     if not isinstance(obj, dict) or "algebra" not in obj or "basis" not in obj:
         raise ValidationError("order file needs fields algebra and basis")
@@ -132,6 +146,8 @@ def cmd_order_verify(args) -> int:
 
 
 def _built_order(args):
+    from . import orders as od
+    from .quaternion import QuaternionAlgebra
     O = od.maximal_order(QuaternionAlgebra(args.a, args.b))
     if getattr(args, "level", 1) != 1:
         O = od.eichler_order(O, args.level, seed=getattr(args, "seed", 0))
@@ -139,6 +155,7 @@ def _built_order(args):
 
 
 def cmd_ideals_norml(args) -> int:
+    from . import orders as od
     O = _built_order(args)
     ideals = od.left_ideals_of_norm(O, args.l, seed=args.seed)
     ideals.sort(key=lambda I: I.order_coords)
@@ -151,6 +168,7 @@ def cmd_ideals_norml(args) -> int:
 
 
 def cmd_ideals_tree(args) -> int:
+    from . import ideal_tree as it
     O = _built_order(args)
     tr = it.build_ideal_tree(O, args.l, args.depth)
     out = {
@@ -169,6 +187,7 @@ def cmd_ideals_tree(args) -> int:
 
 
 def cmd_ideals_oracle(args) -> int:
+    from . import orders as od
     O = _built_order(args)
     ideals = od.enumerate_left_ideals(O, args.n)
     primitive = sum(1 for I in ideals if I.is_primitive())
@@ -180,6 +199,7 @@ def cmd_ideals_oracle(args) -> int:
 
 
 def cmd_bt_neighbors(args) -> int:
+    from . import tree as bt
     v = bt.parse_vertex(args.v)
     _emit({
         "vertex": bt.format_vertex(v),
@@ -189,18 +209,21 @@ def cmd_bt_neighbors(args) -> int:
 
 
 def cmd_bt_distance(args) -> int:
+    from . import tree as bt
     u, v = bt.parse_vertex(args.u), bt.parse_vertex(args.v)
     _emit({"distance": bt.distance(u, v)})
     return EXIT_OK
 
 
 def cmd_bt_geodesic(args) -> int:
+    from . import tree as bt
     u, v = bt.parse_vertex(args.u), bt.parse_vertex(args.v)
     _emit({"geodesic": [bt.format_vertex(w) for w in bt.geodesic(u, v)]})
     return EXIT_OK
 
 
 def _read_vertex_list(path):
+    from . import tree as bt
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -216,6 +239,8 @@ def _read_vertex_list(path):
 
 
 def cmd_bt_center(args) -> int:
+    from . import tree as bt
+    from .center import tree_center
     verts = _read_vertex_list(args.vertices)
     c = tree_center(verts)
     _emit({
@@ -229,11 +254,12 @@ def cmd_bt_center(args) -> int:
 
 
 def cmd_descent_run(args) -> int:
+    from . import descent as dsc
     reports = [dsc.run_descent(dsc.load_scenario(p)) for p in args.scenario]
     if args.report_dir:
         for path, report in zip(args.scenario, reports):
             target = Path(args.report_dir) / f"{Path(path).stem}.report.json"
-            target.write_text(dsc.report_to_json(report), encoding="utf-8")
+            target.write_text(report_to_json(report), encoding="utf-8")
     if len(reports) == 1:
         _emit(reports[0])
     else:

@@ -36,8 +36,8 @@ Scenario files are JSON:
 
 Action values are image lists parallel to "vertices".  Primes absent
 from "local" are implicitly a fixed singleton and never contribute to
-the level.  Reports serialize deterministically; identical scenarios
-give byte-identical reports.
+the level.  Reports are plain dicts that the CLI serializes with sorted
+keys; identical scenarios give byte-identical reports.
 """
 
 from __future__ import annotations
@@ -695,14 +695,6 @@ def run_descent(s: GaloisScenario) -> dict:
             "minimality": minimality["ok"],
         },
     }
-
-
-def report_to_json(report: dict) -> str:
-    """The report as sorted, indented JSON: the CLI's one output format."""
-    try:
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
-    except ValueError as exc:  # an integer past the int-str digit limit
-        raise ResourceError(f"output too large to print: {exc}") from None
 
 
 def checks_pass(report: dict) -> bool:

@@ -33,8 +33,8 @@ from typing import Dict, List, Sequence, Tuple
 from . import linalg as la
 from .errors import (AlgebraError, InvariantError, PreconditionError,
                      RankError, ResourceError, ValidationError)
-from .quaternion import (QuatElement, QuaternionAlgebra, _legendre, factorize,
-                         is_prime, sqrt_mod)
+from .quaternion import (QuatElement, QuaternionAlgebra, _legendre,
+                         _parse_frac, factorize, is_prime, sqrt_mod)
 
 Mat2 = Tuple[Tuple[int, int], Tuple[int, int]]
 
@@ -867,15 +867,6 @@ def enumerate_left_ideals(order: Order, n: int) -> List[LeftIdeal]:
 def _frac_str(x) -> str:
     f = Fraction(x)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
-def _parse_frac(s) -> Fraction:
-    try:
-        f = Fraction(str(s))
-        str(f)  # past the int-to-str digit limit, f could not be printed
-    except (ValueError, ZeroDivisionError) as e:
-        raise ValidationError(f"bad rational {s!r}: {e}") from None
-    return f
 
 
 def _basis_to_json(B) -> List[List[str]]:

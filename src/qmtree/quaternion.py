@@ -11,10 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 from typing import List, Optional, Tuple
 
-from .errors import AlgebraError, InvariantError, ResourceError
+from .errors import (AlgebraError, InvariantError, ResourceError,
+                     ValidationError)
 
 # place tokens: a prime for a finite place, None for the real place
 Place = Optional[int]
@@ -149,18 +151,23 @@ def factorize(n: int) -> List[Tuple[int, int]]:
     return out
 
 
-def squarefree_part(r) -> int:
-    """The squarefree integer in the square class of a nonzero rational."""
+def _square_class(r) -> Tuple[int, Tuple[int, ...]]:
+    """The squarefree integer in the square class of a nonzero rational,
+    and its primes, from one factorization."""
     r = Fraction(r)
     if r == 0:
         raise AlgebraError("0 has no square class")
     n = r.numerator * r.denominator
-    sign = -1 if n < 0 else 1
-    out = sign
-    for p, e in factorize(n):
-        if e % 2:
-            out *= p
-    return out
+    primes = tuple(p for p, e in factorize(n) if e % 2)
+    out = -1 if n < 0 else 1
+    for p in primes:
+        out *= p
+    return out, primes
+
+
+def squarefree_part(r) -> int:
+    """The squarefree integer in the square class of a nonzero rational."""
+    return _square_class(r)[0]
 
 
 def _legendre(u: int, p: int) -> int:
@@ -204,13 +211,19 @@ def sqrt_mod(u: int, p: int) -> int:
 def hilbert_symbol(a, b, place: Place) -> int:
     """Hilbert symbol (a, b) at a finite prime or (place=None) the real place.
 
-    Closed form on squarefree representatives; returns +1 or -1.
+    Closed form on squarefree representatives; returns +1 or -1.  The
+    real place reads only the signs, so it factors nothing.
     """
-    a = squarefree_part(a)
-    b = squarefree_part(b)
     if place is None:
+        a, b = Fraction(a), Fraction(b)
+        if a == 0 or b == 0:
+            raise AlgebraError("0 has no square class")
         return -1 if (a < 0 and b < 0) else 1
-    p = place
+    return _hilbert_at_prime(squarefree_part(a), squarefree_part(b), place)
+
+
+def _hilbert_at_prime(a: int, b: int, p: int) -> int:
+    """hilbert_symbol at the prime p, for squarefree integers a and b."""
     if not is_prime(p):
         raise AlgebraError(f"{p} is not a prime")
     alpha = 0
@@ -237,6 +250,15 @@ def hilbert_symbol(a, b, place: Place) -> int:
     if alpha:
         s *= _legendre(b, p)
     return s
+
+
+def _parse_frac(s) -> Fraction:
+    try:
+        f = Fraction(str(s))
+        str(f)  # past the int-to-str digit limit, f could not be printed
+    except (ValueError, ZeroDivisionError) as e:
+        raise ValidationError(f"bad rational {s!r}: {e}") from None
+    return f
 
 
 # ---------------------------------------------------------------- algebra
@@ -267,15 +289,22 @@ class QuaternionAlgebra:
         return (self.element(1), self.element(0, 1),
                 self.element(0, 0, 1), self.element(0, 0, 0, 1))
 
+    @cached_property
+    def _square_classes(self):
+        """(squarefree part, its primes) of a and of b, factored once."""
+        return _square_class(self.a), _square_class(self.b)
+
     def is_ramified_at(self, place: Place) -> bool:
-        return hilbert_symbol(self.a, self.b, place) == -1
+        if place is None:
+            return hilbert_symbol(self.a, self.b, None) == -1
+        (a, _), (b, _) = self._square_classes
+        return _hilbert_at_prime(a, b, place) == -1
 
     def ramified_primes(self) -> List[int]:
         """Sorted finite ramified primes.  Their count has the same parity as
         ramification at the real place (product formula), which is checked."""
-        cand = {2}
-        cand.update(p for p, _ in factorize(squarefree_part(self.a)) if p > 0)
-        cand.update(p for p, _ in factorize(squarefree_part(self.b)) if p > 0)
+        (_, pa), (_, pb) = self._square_classes
+        cand = {2, *pa, *pb}
         ram = sorted(p for p in cand if self.is_ramified_at(p))
         real = self.is_ramified_at(None)
         if len(ram) % 2 != (1 if real else 0):

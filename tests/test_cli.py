@@ -241,6 +241,14 @@ FROZEN_DIGESTS = [
     (["order", "verify", "--order",
       str(DATA / "orders" / "not_an_order.json")],
      "7eb9a6b690b6415b13cb5799924195ce06b80ba80e55c73e0f074953b69e7fae"),
+    # frozen before the algebra factored a and b once: a prime b past the
+    # trial bound, and rationals with square factors
+    (["qa", "info", "--a=-1", f"--b={10 ** 42 + 63}"],
+     "8bef2fd8e45793273c12260ba6b96d90fc83940d4b9c676dcf74334a734b4dea"),
+    (["qa", "info", "--a", "12", "--b=-45/7"],
+     "98d35f5cd9ffecda95d830a61fcac6319d1c28f449f8697e84b2b46c9e3d2f3d"),
+    (["qa", "info", "--a", "50", "--b", "98/3"],
+     "576baddcac819c07335870b484bb4f376360414c9dbfc479687210abef8a663a"),
 ]
 
 

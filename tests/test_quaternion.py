@@ -180,6 +180,48 @@ def test_hilbert_symbol_fixed_values():
             assert hilbert_symbol(1, b, v) == 1
 
 
+def _count_factorize(monkeypatch):
+    calls = []
+    real = quaternion.factorize
+
+    def spy(n):
+        calls.append(n)
+        return real(n)
+    monkeypatch.setattr(quaternion, "factorize", spy)
+    return calls
+
+
+@pytest.mark.parametrize("a,b,disc", [
+    (-1, 10 ** 42 + 63, 2 * (10 ** 42 + 63)),
+    (12, Fraction(-45, 7), 35),
+    (50, Fraction(98, 3), 6),
+    (-2, -1, 2),
+    (Fraction(4, 9), -7, 1),
+])
+def test_algebra_factors_a_and_b_once(monkeypatch, a, b, disc):
+    calls = _count_factorize(monkeypatch)
+    B = QuaternionAlgebra(a, b)
+    assert B.discriminant() == disc
+    ram = B.ramified_primes()
+    assert all(B.is_ramified_at(p) for p in ram)
+    assert B.is_ramified_at(None) == B.is_definite()
+    assert B.is_split() == (disc == 1)
+    assert len(calls) <= 2
+    # the cached square classes give the public symbol's answers
+    primes = {2, *(q for q, _ in factorize(
+        squarefree_part(a) * squarefree_part(b)))}
+    assert ram == sorted(p for p in primes if hilbert_symbol(a, b, p) == -1)
+
+
+def test_hilbert_symbol_at_the_real_place_factors_nothing(monkeypatch):
+    calls = _count_factorize(monkeypatch)
+    assert hilbert_symbol(-1, -(1000003 * 1000033), None) == -1
+    assert hilbert_symbol(Fraction(-1, 2), 3, None) == 1
+    assert calls == []
+    with pytest.raises(AlgebraError, match="0 has no square class"):
+        hilbert_symbol(0, -1, None)
+
+
 def test_hilbert_symbol_matches_search_small_grid():
     for a in range(-6, 7):
         for b in range(-6, 7):

@@ -173,3 +173,14 @@ def test_modules_import_only_lower_layers():
                   (SRC / f"{name}.py").read_text(encoding="utf-8")))
               if sibling not in LAYERS[:rank]]
     assert upward == []
+
+
+def test_cli_imports_its_layers_inside_the_commands():
+    """cli.py's module-level imports name no qmtree sibling but errors:
+    each command imports the layers it runs, so a process compiles only
+    those.  A layer imported at the top would load for every command."""
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    siblings = {name for node in tree.body
+                if not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                for name in _sibling_imports(node)}
+    assert siblings == {"errors"}
